@@ -231,13 +231,65 @@ func (n *Network) Heard(i int, p geom.Point) bool {
 // primitives (HeardByBatch and friends) report the same no-station
 // answer as the NoStationHeard (-1) sentinel, since they have no
 // per-element ok bool.
+//
+// HeardBy is the scan oracle: it tests every station in index order,
+// O(n^2) in the worst case, and decides each exactly as Heard does.
+// Each interference sum is cut short once its partial value already
+// pushes the SINR below beta (see heardScan).
 func (n *Network) HeardBy(p geom.Point) (int, bool) {
 	for i := range n.stations {
-		if n.Heard(i, p) {
+		if n.heardScan(i, p) {
 			return i, true
 		}
 	}
 	return 0, false
+}
+
+// heardScan is Heard(i, p) with an exact early exit. It sums the
+// interference in Interference's order and, every 16 terms, evaluates
+// the expression SINR ends with on the partial sum; once that is below
+// beta the station cannot be heard. The exit never changes an answer:
+// partial sums of non-negative terms only grow under round-to-nearest
+// addition, and rounded division is monotone in its divisor, so the
+// final SINR is at most the partial one. A +Inf energy (p on s_i)
+// takes Heard's path, which applies SINR's conventions.
+func (n *Network) heardScan(i int, p geom.Point) bool {
+	e := n.Energy(i, p)
+	if math.IsInf(e, 1) {
+		return n.Heard(i, p)
+	}
+	var sum float64
+	for j := range n.stations {
+		if j == i {
+			continue
+		}
+		sum += n.Energy(j, p)
+		if j&15 == 15 && e/(sum+n.noise) < n.beta {
+			return false
+		}
+	}
+	// A +Inf sum gives e/(+Inf) = 0 < beta, as SINR's interferer
+	// convention does.
+	return e/(sum+n.noise) >= n.beta
+}
+
+// Strongest returns the station with the largest received energy
+// E(s_i, p), the lowest index winning ties, in one allocation-free
+// O(n) pass. For beta > 1 it is the only station that can be heard at
+// p (Observation 2.2 with per-station powers): every other station k
+// has the strongest one's energy inside its interference sum, so
+// SINR(k, p) <= 1 in floating point too. ok is false only when no
+// energy compares, i.e. p has a NaN coordinate.
+//
+//sinr:hotpath
+func (n *Network) Strongest(p geom.Point) (int, bool) {
+	best, bestE := -1, math.Inf(-1)
+	for i := range n.stations {
+		if e := n.Energy(i, p); e > bestE {
+			best, bestE = i, e
+		}
+	}
+	return best, best >= 0
 }
 
 // Kappa returns min{dist(s_i, s_j) : j != i}, the distance from

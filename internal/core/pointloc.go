@@ -251,20 +251,30 @@ func (n *Network) NaiveLocate(p geom.Point) Location {
 }
 
 // VoronoiLocate is the O(n) baseline: identify the unique candidate
-// station via a nearest-station query (Observation 2.2), then one
-// direct SINR evaluation. The tree parameter lets callers amortize the
-// index; pass nil to build a throwaway index (turning the query into
-// the O(n log n)-preprocessed, O(n)-query algorithm of the paper's
-// introduction).
+// station (Observation 2.2), then one direct SINR evaluation. Under
+// uniform power the candidate is the nearest station; the tree
+// parameter lets callers amortize that index, and nil builds a
+// throwaway one (turning the query into the O(n log n)-preprocessed,
+// O(n)-query algorithm of the paper's introduction). Under per-station
+// powers the candidate is the strongest-signal station (Strongest; the
+// tree is unused). For beta <= 1 several stations may be heard, so the
+// answer comes from the scan (NaiveLocate). Answers equal HeardBy's on
+// every point.
 func (n *Network) VoronoiLocate(p geom.Point, tree *kdtree.Tree) Location {
-	if tree == nil {
-		tree = kdtree.New(n.stations)
+	if n.beta <= 1 {
+		return n.NaiveLocate(p)
 	}
-	idx, _, ok := tree.Nearest(p)
-	if !ok {
-		return Location{Kind: NoReception}
+	var idx int
+	var ok bool
+	if n.uniform {
+		if tree == nil {
+			tree = kdtree.New(n.stations)
+		}
+		idx, _, ok = tree.Nearest(p)
+	} else {
+		idx, ok = n.Strongest(p)
 	}
-	if n.Heard(idx, p) {
+	if ok && n.Heard(idx, p) {
 		return Location{Kind: Reception, Station: idx}
 	}
 	return Location{Kind: NoReception}

@@ -3,6 +3,7 @@ package dynamic
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/core"
@@ -10,9 +11,11 @@ import (
 	"repro/internal/workload"
 )
 
-// benchNet builds a constant-density uniform network (the E18/E19
-// serving regime: box side grows with sqrt(n)).
-func benchNet(b *testing.B, n int) (*core.Network, geom.Box) {
+// benchNet builds a constant-density network (the E18/E19 serving
+// regime: box side grows with sqrt(n)). sigma = 0 gives uniform power;
+// sigma > 0 draws log-normal station powers of that spread, clamped to
+// [1/8, 8] (the churn-power regime of the repository benchmark).
+func benchNet(b *testing.B, n int, sigma float64) (*core.Network, geom.Box) {
 	b.Helper()
 	side := 3 * math.Sqrt(float64(n))
 	box := geom.NewBox(geom.Pt(-side/2, -side/2), geom.Pt(side/2, side/2))
@@ -21,7 +24,16 @@ func benchNet(b *testing.B, n int) (*core.Network, geom.Box) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	net, err := core.NewUniform(pts, 0.01, 3)
+	var opts []core.Option
+	if sigma > 0 {
+		rng := rand.New(rand.NewSource(int64(n)))
+		powers := make([]float64, n)
+		for i := range powers {
+			powers[i] = math.Min(8, math.Max(0.125, math.Exp(sigma*rng.NormFloat64())))
+		}
+		opts = append(opts, core.WithPowers(powers))
+	}
+	net, err := core.NewNetwork(pts, 0.01, 3, opts...)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -35,7 +47,7 @@ func benchNet(b *testing.B, n int) (*core.Network, geom.Box) {
 func BenchmarkDynamicApply(b *testing.B) {
 	for _, n := range []int{64, 256, 1024} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			net, box := benchNet(b, n)
+			net, box := benchNet(b, n, 0)
 			dyn, err := New(net, WithRebuildFraction(math.Inf(1)))
 			if err != nil {
 				b.Fatal(err)
@@ -64,7 +76,7 @@ func BenchmarkDynamicApply(b *testing.B) {
 func BenchmarkDynamicRebuild(b *testing.B) {
 	for _, n := range []int{64, 256, 1024} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			net, _ := benchNet(b, n)
+			net, _ := benchNet(b, n, 0)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -77,24 +89,42 @@ func BenchmarkDynamicRebuild(b *testing.B) {
 }
 
 // BenchmarkDynamicLocate measures the epoch-snapshot query hot path on
-// a post-churn snapshot (base tree + overlay extras + patched grid).
-// It must report 0 allocs/op — the CI bench gate enforces it.
+// a post-churn snapshot (base tree + overlay extras + patched grid):
+// the nearest-station path on uniform networks, and on the lognormal
+// leg (log-normal powers, sigma 0.5, plus power-walk deltas) the
+// strongest-station path. It must report 0 allocs/op — the CI bench
+// gate enforces it.
 func BenchmarkDynamicLocate(b *testing.B) {
-	for _, n := range []int{64, 1024} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			net, box := benchNet(b, n)
+	for _, bc := range []struct {
+		name  string
+		n     int
+		sigma float64
+	}{
+		{"n=64", 64, 0},
+		{"n=1024", 1024, 0},
+		{"lognormal/n=512", 512, 0.5},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			n := bc.n
+			net, box := benchNet(b, n, bc.sigma)
 			dyn, err := New(net, WithRebuildFraction(math.Inf(1)))
 			if err != nil {
 				b.Fatal(err)
 			}
 			gen := workload.NewGenerator(2)
-			for _, ev := range gen.ChurnTrace(n, n/16+4, box, 1, 1, 0, 0) {
+			pPower := 0.0
+			if bc.sigma > 0 {
+				pPower = 1
+			}
+			for _, ev := range gen.ChurnTrace(n, n/16+4, box, 1, 1, pPower, bc.sigma) {
 				var d Delta
 				switch ev.Kind {
 				case workload.ChurnArrive:
 					d = Delta{Add: []Station{{Pos: ev.Pos, Power: ev.Power}}}
 				case workload.ChurnDepart:
 					d = Delta{Remove: []int{ev.Station}}
+				case workload.ChurnPower:
+					d = Delta{SetPower: []PowerUpdate{{Station: ev.Station, Power: ev.Power}}}
 				}
 				if _, err := dyn.Apply(d); err != nil {
 					b.Fatal(err)

@@ -29,12 +29,15 @@
 // query cost bounded. ApplyStats on every snapshot says which path ran.
 //
 // Snapshots answer queries exactly (Snapshot.Locate / HeardBy): one
-// grid lookup certifies most of the plane H-, the Observation 2.2
-// nearest-station reduction plus a single SINR evaluation settles
-// covered points of uniform beta > 1 networks, and other networks fall
-// back to the exact scan. Answers equal a from-scratch build on the
-// same station set point-for-point — the property tests pin this
-// against core.BuildLocator with and without its spatial index.
+// grid lookup certifies most of the plane H-, and for beta > 1 the
+// Observation 2.2 single-candidate reduction plus a single SINR
+// evaluation settles covered points — the nearest station under
+// uniform power, the strongest-signal station (core.Network.Strongest)
+// under per-station powers. Only beta <= 1 networks, where several
+// stations may be heard, take the exact scan. Answers equal a
+// from-scratch build on the same station set point-for-point — the
+// property tests pin this against core.BuildLocator with and without
+// its spatial index, and against Network.HeardBy.
 //
 // The epoch-pinning query surface (Resolver interface, batch/stream)
 // lives in internal/resolve (DynamicResolver); the serving layer's

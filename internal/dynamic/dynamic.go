@@ -182,31 +182,35 @@ func (s *Snapshot) GridEnabled() bool { return s.grid != nil }
 // Locate answers "which station is heard at p?" for this epoch,
 // exactly. The fast path is one grid-cell lookup over the per-station
 // cover boxes — a point outside every box is certified H- without
-// touching a station — then, for uniform networks with beta > 1, the
-// nearest-station reduction of Observation 2.2: the base-tree overlay
-// finds the nearest station and one SINR evaluation settles it. Other
-// networks (non-uniform power, beta <= 1) fall back to the exact scan.
-// Answers are identical to a from-scratch Network.HeardBy — and, for
-// locator-eligible networks, to a from-scratch Theorem 3 locator's
-// LocateExact. The hot path performs no allocations.
+// touching a station. For beta > 1 at most one station can be heard
+// (Observation 2.2), so one candidate and one SINR evaluation settle
+// the point: the nearest station from the base-tree overlay for
+// uniform networks, the strongest-signal station
+// (core.Network.Strongest, one O(n) pass) otherwise. Networks with
+// beta <= 1 take the exact scan. Answers are identical to a
+// from-scratch Network.HeardBy — and, for locator-eligible networks,
+// to a from-scratch Theorem 3 locator's LocateExact. The hot path
+// performs no allocations.
 //
 //sinr:hotpath
 func (s *Snapshot) Locate(p geom.Point) core.Location {
 	if s.grid != nil && !s.grid.Covers(p.X, p.Y) {
 		return core.Location{Kind: core.NoReception}
 	}
-	if s.net.IsUniform() && s.net.Beta() > 1 {
-		// At most one station can be heard, and only the nearest
-		// (ties are never heard: an equidistant interferer caps the
-		// SINR at 1 < beta).
-		idx, ok := s.nearest(p)
-		if ok && s.net.Heard(idx, p) {
-			return core.Location{Kind: core.Reception, Station: idx}
-		}
-		return core.Location{Kind: core.NoReception}
+	if s.net.Beta() <= 1 {
+		return s.net.NaiveLocate(p)
 	}
-	if i, ok := s.net.HeardBy(p); ok {
-		return core.Location{Kind: core.Reception, Station: i}
+	// Under uniform power the strongest station, the only one that can
+	// be heard, is the nearest.
+	var idx int
+	var ok bool
+	if s.net.IsUniform() {
+		idx, ok = s.nearest(p)
+	} else {
+		idx, ok = s.net.Strongest(p)
+	}
+	if ok && s.net.Heard(idx, p) {
+		return core.Location{Kind: core.Reception, Station: idx}
 	}
 	return core.Location{Kind: core.NoReception}
 }

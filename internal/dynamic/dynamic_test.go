@@ -172,8 +172,8 @@ func TestApplyEquivalentToFromScratch(t *testing.T) {
 }
 
 // TestApplyPowerWalkEquivalence extends the property to power-walk
-// deltas (non-uniform epochs, exact-scan query path): snapshots must
-// agree with from-scratch Network.HeardBy point-for-point.
+// deltas (non-uniform epochs, strongest-station query path): snapshots
+// must agree with from-scratch Network.HeardBy point-for-point.
 func TestApplyPowerWalkEquivalence(t *testing.T) {
 	net := startNet(t, 8, 5)
 	dyn, err := New(net)
@@ -431,8 +431,9 @@ func TestConcurrentQueriesDuringChurn(t *testing.T) {
 }
 
 // TestLocateAllocationFree pins the query hot path at zero allocations
-// for both the grid fast exit and the nearest+check path, on an epoch
-// with overlay extras (the post-churn shape).
+// for the grid fast exit, the nearest+check path, and — after a power
+// update makes the epoch non-uniform — the strongest+check path, on an
+// epoch with overlay extras (the post-churn shape).
 func TestLocateAllocationFree(t *testing.T) {
 	net := startNet(t, 32, 8)
 	dyn, err := New(net, WithRebuildFraction(math.Inf(1)))
@@ -445,15 +446,21 @@ func TestLocateAllocationFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snap := dyn.Snapshot()
 	probes := append(probeGenPoints(61, 128), geom.Pt(400, 400)) // covered + far outside
-	allocs := testing.AllocsPerRun(50, func() {
-		for _, p := range probes {
-			snap.Locate(p)
+	uniform := dyn.Snapshot()
+	powered, err := dyn.Apply(Delta{SetPower: []PowerUpdate{{Station: 0, Power: 2}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, snap := range []*Snapshot{uniform, powered} {
+		allocs := testing.AllocsPerRun(50, func() {
+			for _, p := range probes {
+				snap.Locate(p)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("Locate allocates on %v: %g allocs per %d-query run", snap.Network(), allocs, len(probes))
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("Locate allocates: %g allocs per %d-query run", allocs, len(probes))
 	}
 }
 

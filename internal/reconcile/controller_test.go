@@ -199,9 +199,11 @@ func TestControllerCreatesAndDeletes(t *testing.T) {
 	}
 	writeSpecFile(t, dir, "basic.json", specJSON(t, sp))
 	want := hashOf(t, sp)
+	// The registry publishes a change before the controller counts its
+	// outcome, so each wait covers both.
 	waitFor(t, "creation", func() bool {
 		h, ok := srv.SpecHashOf("basic")
-		return ok && h == want
+		return ok && h == want && c.Stats().Outcomes["created"] > 0
 	})
 	if got := c.Stats().Outcomes["created"]; got != 1 {
 		t.Fatalf("created outcomes = %d, want 1", got)
@@ -214,7 +216,7 @@ func TestControllerCreatesAndDeletes(t *testing.T) {
 	want = hashOf(t, sp)
 	waitFor(t, "patch convergence", func() bool {
 		h, ok := srv.SpecHashOf("basic")
-		return ok && h == want
+		return ok && h == want && c.Stats().Outcomes["patched"] > 0
 	})
 	if got := c.Stats().Outcomes["patched"]; got != 1 {
 		t.Fatalf("patched outcomes = %d, want 1", got)
@@ -225,7 +227,7 @@ func TestControllerCreatesAndDeletes(t *testing.T) {
 	}
 	waitFor(t, "deletion", func() bool {
 		_, ok := srv.SpecHashOf("basic")
-		return !ok
+		return !ok && c.Stats().Outcomes["deleted"] > 0
 	})
 	if got := c.Stats().Outcomes["deleted"]; got != 1 {
 		t.Fatalf("deleted outcomes = %d, want 1", got)
@@ -300,7 +302,6 @@ func TestDuplicateNameFirstPathWins(t *testing.T) {
 	dir := t.TempDir()
 	srv := serve.NewServer(serve.Options{})
 	c := New(srv, fastOptions(dir))
-	startController(t, c)
 
 	first := &serve.NetworkSpec{
 		Name: "dup", Stations: []serve.SpecStation{{X: 1, Y: 0}}, Noise: 0.1, Beta: 1,
@@ -308,8 +309,12 @@ func TestDuplicateNameFirstPathWins(t *testing.T) {
 	second := &serve.NetworkSpec{
 		Name: "dup", Stations: []serve.SpecStation{{X: 9, Y: 9}}, Noise: 0.1, Beta: 2,
 	}
+	// Both files exist before the first listing: a controller started
+	// earlier can list between the two writes and apply the first file
+	// before it has seen the duplicate.
 	writeSpecFile(t, dir, "a.json", specJSON(t, first))
 	writeSpecFile(t, dir, "b.json", specJSON(t, second))
+	startController(t, c)
 	wantFirst := hashOf(t, first)
 	waitFor(t, "first path winning", func() bool {
 		h, ok := srv.SpecHashOf("dup")

@@ -11,9 +11,10 @@ import (
 )
 
 // ExactResolver answers every query by direct SINR evaluation
-// (Network.HeardBy): O(n) per query, no preprocessing, exact by
-// definition. It is the ground truth the other backends are measured
-// against.
+// (Network.HeardBy): one O(n) SINR sum per station, so O(n^2) per
+// query in the worst case (HeardBy cuts each sum short once its
+// station is out of reach), no preprocessing, exact by definition. It
+// is the ground truth the other backends are measured against.
 type ExactResolver struct {
 	engine
 	net *core.Network
@@ -103,10 +104,13 @@ func wrapLocator(loc *core.Locator, c config, buildCost time.Duration) *LocatorR
 func (r *LocatorResolver) Locator() *core.Locator { return r.loc }
 
 // VoronoiResolver is the paper's O(n)-query baseline promoted to the
-// common interface: a kd-tree nearest-station lookup identifies the
-// unique candidate (Observation 2.2), and one direct SINR evaluation
-// settles it. Exact, O(n log n) preprocessing, O(n) per query
-// (the single SINR evaluation dominates the O(log n) lookup).
+// common interface (Network.VoronoiLocate): a kd-tree nearest-station
+// lookup identifies the unique candidate (Observation 2.2), and one
+// direct SINR evaluation settles it. Exact, O(n log n) preprocessing,
+// O(n) per query (the single SINR evaluation dominates the O(log n)
+// lookup). Under per-station powers the candidate is the
+// strongest-signal station instead (an O(n) pass), and beta <= 1
+// networks, where several stations may be heard, take the scan.
 type VoronoiResolver struct {
 	engine
 	net  *core.Network

@@ -4,8 +4,8 @@
 // reports its own metadata through Stats.
 //
 // The paper's point is that several very different algorithms answer
-// this same question: direct SINR evaluation (the ground truth, O(n)
-// per query), the Theorem 3 structure (O(log n) per query with an
+// this same question: direct SINR evaluation (the ground truth, O(n^2)
+// per query in the worst case), the Theorem 3 structure (O(log n) per query with an
 // eps-area uncertainty ring), the Voronoi nearest-candidate check
 // (Observation 2.2 plus one SINR evaluation), and the graph-based
 // UDG/protocol model the paper argues against. This package gives each

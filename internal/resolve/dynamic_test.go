@@ -151,3 +151,54 @@ func TestPinHoldsEpoch(t *testing.T) {
 		t.Fatalf("live resolver stats %+v, want epoch 2 with 2 stations", got)
 	}
 }
+
+// TestOffNearestPathNetworks pins the two networks on which the
+// nearest station is the wrong candidate, for every exact backend. With
+// per-station powers the strongest signal is not the nearest: station 0
+// (power 8) is heard at (0.7, 0) though station 1 (power 1/8) is nearer.
+// With beta = 1/2 both stations are heard at (0.52, 0) and the answer
+// is the lowest index, 0, though station 1 is nearer.
+func TestOffNearestPathNetworks(t *testing.T) {
+	powered, err := core.NewNetwork([]geom.Point{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(5, 5)}, 0.01, 3,
+		core.WithPowers([]float64{8, 0.125, 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lowBeta, err := core.NewUniform([]geom.Point{geom.Pt(0, 0), geom.Pt(1, 0)}, 0, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := core.Location{Kind: core.Reception, Station: 0}
+	for _, tc := range []struct {
+		net *core.Network
+		p   geom.Point
+	}{
+		{powered, geom.Pt(0.7, 0)},
+		{lowBeta, geom.Pt(0.52, 0)},
+	} {
+		dyn, err := dynamic.New(tc.net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dynRes, err := NewDynamic(dyn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resolvers := []Resolver{dynRes}
+		for _, kind := range []Kind{KindExact, KindVoronoi} {
+			r, err := New(kind, tc.net)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resolvers = append(resolvers, r)
+		}
+		for _, r := range resolvers {
+			if got := r.Resolve(context.Background(), tc.p); got != want {
+				t.Errorf("%v %v: Resolve(%v) = %+v, want %+v", tc.net, r.Stats().Kind, tc.p, got, want)
+			}
+			if got := batchOf(t, r, []geom.Point{tc.p}); got[0] != want {
+				t.Errorf("%v %v: ResolveBatch(%v) = %+v, want %+v", tc.net, r.Stats().Kind, tc.p, got[0], want)
+			}
+		}
+	}
+}

@@ -33,10 +33,12 @@
 // Every query names its backend through the "resolver" field of the
 // /v1/locate body (or the resolver query parameter of the stream
 // endpoint): "exact" (direct SINR evaluation), "locator" (the
-// Theorem 3 structure with exact fallback), "voronoi" (nearest-
-// candidate + one SINR check), "udg" (the graph-based baseline) or
-// "dynamic" (the current dynamic-engine epoch snapshot: exact answers,
-// O(1) resolver turnover per PATCH instead of a backend rebuild).
+// Theorem 3 structure with exact fallback), "voronoi" (single
+// candidate + one SINR check: the nearest station, or the strongest
+// signal under per-station powers; the scan for beta <= 1), "udg"
+// (the graph-based baseline) or "dynamic" (the current dynamic-engine
+// epoch snapshot: exact answers, O(1) resolver turnover per PATCH
+// instead of a backend rebuild).
 // A network registration may set its own default backend (and a
 // default UDG radius) via the same "resolver"/"radius" fields; a
 // request that names neither uses the network's default, which is

@@ -865,6 +865,13 @@ func (s *Server) handleLocateStream(w http.ResponseWriter, r *http.Request) {
 	}()
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
+	// A full-duplex HTTP/1.x stream can end (drain, client cancel, a
+	// malformed line) while its request body is still arriving; the
+	// connection is then closed rather than kept alive, or the body's
+	// tail would be parsed as the next request on it.
+	if r.ProtoMajor == 1 {
+		w.Header().Set("Connection", "close")
+	}
 	// The whole stream is answered from the snapshot captured above; a
 	// concurrent hot swap never changes answers mid-stream. The echoed
 	// version lets clients (and the swap-consistency tests) pin every

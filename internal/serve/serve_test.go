@@ -701,6 +701,47 @@ func TestLocateEveryResolverKind(t *testing.T) {
 	}
 }
 
+// TestLocateOffNearestPathNetworks serves the two networks on which
+// the nearest station is the wrong candidate: per-station powers, where
+// station 0 (power 8) is heard at (0.7, 0) though station 1 (power 1/8)
+// is nearer, and beta = 1/2, where both stations are heard at
+// (0.52, 0) and the answer is the lowest index. Every exact backend
+// must answer station 0.
+func TestLocateOffNearestPathNetworks(t *testing.T) {
+	srv := NewServer(Options{})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	powered := registerReq("powered", []geom.Point{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(5, 5)}, 0.01, 3)
+	for i, p := range []float64{8, 0.125, 1} {
+		powered.Stations[i].Power = p
+	}
+	lowBeta := registerReq("lowbeta", []geom.Point{geom.Pt(0, 0), geom.Pt(1, 0)}, 0, 0.5)
+	for _, tc := range []struct {
+		reg NetworkRequest
+		p   geom.Point
+	}{
+		{powered, geom.Pt(0.7, 0)},
+		{lowBeta, geom.Pt(0.52, 0)},
+	} {
+		resp := postJSON(t, ts, "/v1/networks", tc.reg)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("register %s: %s", tc.reg.Name, resp.Status)
+		}
+		resp.Body.Close()
+		for _, kind := range []string{"exact", "voronoi", "dynamic"} {
+			req := LocateRequest{Network: tc.reg.Name, Resolver: kind, Points: []PointJSON{{X: tc.p.X, Y: tc.p.Y}}}
+			resp := postJSON(t, ts, "/v1/locate", req)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s %s: %s", tc.reg.Name, kind, resp.Status)
+			}
+			if out := decodeJSON[LocateResponse](t, resp); out.Results[0].Station != 0 {
+				t.Errorf("%s %s: served station %d at %v, want 0", tc.reg.Name, kind, out.Results[0].Station, tc.p)
+			}
+		}
+	}
+}
+
 // TestPerNetworkDefaultResolver registers a network whose default
 // backend is voronoi and checks a resolver-less request uses it,
 // while an explicit per-request "locator" still overrides.

@@ -43,7 +43,8 @@
 //		sinrdiag.WithEpsilon(0.05), sinrdiag.WithWorkers(8))
 //	answer := r.Resolve(ctx, sinrdiag.Pt(0.4, 0.2))
 //
-//	NewExactResolver    direct SINR evaluation (ground truth, O(n)/query)
+//	NewExactResolver    direct SINR evaluation (ground truth, O(n^2)/query
+//	                    in the worst case)
 //	NewLocatorResolver  Theorem 3 structure (O(log n)/query; exact
 //	                    fallback for H? rings on by default, disable
 //	                    with WithExactFallback(false); carries a
@@ -51,7 +52,9 @@
 //	                    points outside every zone resolve H- from one
 //	                    allocation-free grid lookup — disable with
 //	                    WithSpatialIndex(false))
-//	NewVoronoiResolver  nearest-candidate + one SINR check (O(n)/query)
+//	NewVoronoiResolver  single candidate + one SINR check (O(n)/query;
+//	                    nearest, or strongest signal under per-station
+//	                    powers)
 //	NewUDGResolver      graph-based UDG/protocol baseline (a different
 //	                    reception model; WithRadius / WithInterfRadius)
 //
@@ -327,8 +330,9 @@ type ExactResolver = resolve.ExactResolver
 // uncertainty rings exactly unless WithExactFallback(false).
 type LocatorResolver = resolve.LocatorResolver
 
-// VoronoiResolver answers via the nearest-candidate check of
-// Observation 2.2 plus one SINR evaluation.
+// VoronoiResolver answers via the single-candidate check of
+// Observation 2.2 plus one SINR evaluation (the nearest station, or
+// the strongest signal under per-station powers).
 type VoronoiResolver = resolve.VoronoiResolver
 
 // UDGResolver answers under the graph-based UDG/protocol rule — the
