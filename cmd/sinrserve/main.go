@@ -93,7 +93,7 @@ type config struct {
 func main() {
 	var cfg config
 	flag.StringVar(&cfg.addr, "addr", ":8080", "listen address")
-	flag.IntVar(&cfg.opt.MaxLocators, "max-locators", 8, "locator cache capacity (LRU)")
+	flag.IntVar(&cfg.opt.MaxLocators, "max-locators", 8, "capacity of the LRU cache of locator and UDG resolvers")
 	flag.IntVar(&cfg.opt.Workers, "workers", 0, "worker pool size for builds and batch queries (0 = NumCPU)")
 	flag.Float64Var(&cfg.opt.DefaultEps, "default-eps", serve.DefaultEps, "locator eps for requests that omit it")
 	flag.Float64Var(&cfg.opt.MinEps, "min-eps", 0.01, "smallest client-supplied eps accepted (builds cost O(n^3/eps))")

@@ -4,155 +4,160 @@ import (
 	"container/list"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/resolve"
 )
 
-// cacheKey identifies one resolver build: a network name at a specific
-// registration version, answered by a specific backend with its
-// parameters. eps is zero for non-locator kinds and radius is zero for
-// non-UDG kinds (normalized by the caller), so e.g. "exact at eps 0.1"
-// and "exact at eps 0.2" share one cache slot.
-type cacheKey struct {
-	name    string
+// cacheKey identifies one cached value: a network incarnation (the
+// *netEntry, never the name, which a delete and re-create reuses), a
+// generation (0 for values that span generations, such as schedules)
+// and the request parameters P.
+type cacheKey[P comparable] struct {
+	net     *netEntry
 	version uint64
-	kind    resolve.Kind
-	eps     float64
-	radius  float64
+	params  P
 }
 
-// cacheEntry is one cached (possibly still building) resolver. ready
-// is closed when res/err are final; done mirrors the close under the
+// flight is one cached (possibly still building) value. ready is
+// closed once val and err are final; done mirrors the close under the
 // cache mutex so eviction can skip in-flight builds without waiting.
-type cacheEntry struct {
-	key   cacheKey
+type flight[P comparable, V any] struct {
+	key   cacheKey[P]
 	ready chan struct{}
 	done  bool
-	res   resolve.Resolver
+	val   V
 	err   error
 }
 
-// resolverCache is a single-flight LRU cache of query resolvers.
-// A cached locator owns its sharded spatial index, so the index is
-// versioned with the snapshot that built it: a hot swap bumps the
-// version, misses the cache, and builds a fresh locator+index pair,
-// while requests still holding the old snapshot keep answering from
-// the old pair — index and network can never disagree mid-request.
-// Concurrent get calls for the same key share one build: the first
-// caller builds while the rest wait on the entry's ready channel.
-// Completed entries beyond cap are evicted least-recently-used;
-// in-flight builds are never evicted, so the cache can transiently
-// exceed cap under a burst of distinct first-time keys. The expensive
-// occupant is the Theorem 3 locator (O(n^3/eps) build, O(n/eps)
-// memory); the baseline backends are cheap but cached all the same so
-// every kind flows through one code path.
-type resolverCache struct {
+// flightCache is the server's single-flight LRU cache: one instance
+// holds locator and UDG resolvers, another schedules. Its rules:
+//
+//   - A hit is a completed value that passes the caller's freshness
+//     check, served without running the build. Joining another
+//     caller's successful build counts as a hit: the caller paid a
+//     wait, not a build.
+//   - A failed build gives every caller waiting on it its error and
+//     leaves the cache, so the next get runs one new build.
+//   - LRU eviction removes only completed entries, so an identical
+//     request never duplicates an in-flight build; the cache can
+//     transiently exceed its capacity under a burst of new keys.
+//   - A stale entry (completed, but failing the freshness check) is
+//     rebuilt by exactly one caller, which gets the stale value as
+//     prev: the baseline a schedule repair starts from.
+//   - drop removes matching entries, completed or in flight. Waiters
+//     of a dropped build still get its result; later gets cannot.
+type flightCache[P comparable, V any] struct {
 	mu      sync.Mutex
 	cap     int
-	entries map[cacheKey]*list.Element
-	lru     *list.List // of *cacheEntry, front = most recently used
+	entries map[cacheKey[P]]*list.Element
+	lru     *list.List // of *flight[P, V], front = most recently used
 	builds  atomic.Int64
 	hits    atomic.Int64
 	evicted atomic.Int64 // LRU evictions (capacity pressure)
-	invalid atomic.Int64 // invalidations (superseded generations)
+	dropped atomic.Int64 // removed by drop (superseded or deleted networks)
 }
 
-func newResolverCache(capacity int) *resolverCache {
+func newFlightCache[P comparable, V any](capacity int) *flightCache[P, V] {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &resolverCache{
+	return &flightCache[P, V]{
 		cap:     capacity,
-		entries: make(map[cacheKey]*list.Element),
+		entries: make(map[cacheKey[P]]*list.Element),
 		lru:     list.New(),
 	}
 }
 
-// get returns the resolver for key, building it with build on a miss.
-// Exactly one caller runs build per key generation; a failed build is
-// dropped from the cache so a later request retries it.
-func (c *resolverCache) get(key cacheKey, build func() (resolve.Resolver, error)) (resolve.Resolver, error) {
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
+// get returns the value cached under key, running build on a miss or
+// when the cached value fails fresh (a nil fresh accepts every value).
+// build runs outside the cache lock and receives the stale value it
+// replaces, or the zero V on a miss. hit reports whether the value was
+// served without this caller running build.
+func (c *flightCache[P, V]) get(key cacheKey[P], fresh func(V) bool, build func(prev V) (V, error)) (v V, hit bool, err error) {
+	for {
+		c.mu.Lock()
+		el, ok := c.entries[key]
+		if !ok {
+			f := &flight[P, V]{key: key, ready: make(chan struct{})}
+			c.entries[key] = c.lru.PushFront(f)
+			c.evictLocked()
+			c.mu.Unlock()
+			return c.run(f, v, build) // v is still zero: no prev
+		}
+		f := el.Value.(*flight[P, V])
 		c.lru.MoveToFront(el)
-		e := el.Value.(*cacheEntry)
 		c.mu.Unlock()
-		// Joining an in-flight build counts as a hit too: the caller
-		// paid a wait, not a build.
-		c.hits.Add(1)
-		<-e.ready
-		return e.res, e.err
+		<-f.ready
+		if f.err != nil {
+			return v, false, f.err
+		}
+		if fresh == nil || fresh(f.val) {
+			c.hits.Add(1)
+			return f.val, true, nil
+		}
+		// Stale for this caller: swap a new in-flight entry in unless
+		// another caller already has, in which case wait on theirs.
+		c.mu.Lock()
+		if el, ok := c.entries[key]; ok && el.Value.(*flight[P, V]) == f {
+			nf := &flight[P, V]{key: key, ready: make(chan struct{})}
+			el.Value = nf
+			c.mu.Unlock()
+			return c.run(nf, f.val, build)
+		}
+		c.mu.Unlock()
 	}
-	e := &cacheEntry{key: key, ready: make(chan struct{})}
-	c.entries[key] = c.lru.PushFront(e)
-	c.evictLocked()
-	c.mu.Unlock()
+}
 
+// run executes build for the in-flight entry f and publishes the
+// outcome to its waiters. A failed build leaves the cache, unless a
+// drop or a newer flight has replaced f already.
+func (c *flightCache[P, V]) run(f *flight[P, V], prev V, build func(prev V) (V, error)) (V, bool, error) {
 	c.builds.Add(1)
-	res, err := build()
-
+	val, err := build(prev)
 	c.mu.Lock()
-	e.res, e.err, e.done = res, err, true
+	f.val, f.err, f.done = val, err, true
 	if err != nil {
-		if el, ok := c.entries[key]; ok && el.Value.(*cacheEntry) == e {
+		if el, ok := c.entries[f.key]; ok && el.Value.(*flight[P, V]) == f {
 			c.lru.Remove(el)
-			delete(c.entries, key)
+			delete(c.entries, f.key)
 		}
 	}
 	c.mu.Unlock()
-	close(e.ready)
-	return res, err
+	close(f.ready)
+	return val, false, err
 }
 
 // evictLocked removes completed least-recently-used entries until the
 // cache is within capacity. Callers hold c.mu.
-func (c *resolverCache) evictLocked() {
+func (c *flightCache[P, V]) evictLocked() {
 	for el := c.lru.Back(); el != nil && len(c.entries) > c.cap; {
 		prev := el.Prev()
-		if e := el.Value.(*cacheEntry); e.done {
+		if f := el.Value.(*flight[P, V]); f.done {
 			c.lru.Remove(el)
-			delete(c.entries, e.key)
+			delete(c.entries, f.key)
 			c.evicted.Add(1)
 		}
 		el = prev
 	}
 }
 
-// invalidate drops every completed entry for name with a version below
-// beforeVersion (stale snapshots after a hot swap). In-flight builds
-// for stale versions finish and are then aged out by the LRU.
-func (c *resolverCache) invalidate(name string, beforeVersion uint64) {
+// drop removes every entry of incarnation net with a version below
+// before, completed or in flight: before is the new generation on a
+// publish and math.MaxUint64 on a delete.
+func (c *flightCache[P, V]) drop(net *netEntry, before uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for el := c.lru.Front(); el != nil; {
 		next := el.Next()
-		e := el.Value.(*cacheEntry)
-		if e.done && e.key.name == name && e.key.version < beforeVersion {
+		if f := el.Value.(*flight[P, V]); f.key.net == net && f.key.version < before {
 			c.lru.Remove(el)
-			delete(c.entries, e.key)
-			c.invalid.Add(1)
+			delete(c.entries, f.key)
+			c.dropped.Add(1)
 		}
 		el = next
 	}
 }
 
-// Builds returns the number of resolver builds started (cache
-// misses); the handler tests use it to assert single-flight dedup.
-func (c *resolverCache) Builds() int64 { return c.builds.Load() }
-
-// Hits returns the number of get calls answered without a build
-// (including waits on an in-flight build).
-func (c *resolverCache) Hits() int64 { return c.hits.Load() }
-
-// Evicted returns the number of LRU capacity evictions.
-func (c *resolverCache) Evicted() int64 { return c.evicted.Load() }
-
-// Invalidated returns the number of entries dropped because their
-// generation was superseded by a hot swap or PATCH delta.
-func (c *resolverCache) Invalidated() int64 { return c.invalid.Load() }
-
-// Len returns the number of cached (or building) resolvers.
-func (c *resolverCache) Len() int {
+// Len returns the number of cached (or building) values.
+func (c *flightCache[P, V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)

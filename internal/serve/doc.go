@@ -1,8 +1,7 @@
 // Package serve is the query-serving subsystem: a long-running HTTP
-// service that owns a registry of named networks, builds query
-// resolvers (internal/resolve) on demand behind a single-flight LRU
-// cache, and answers point-location traffic in batches and streams
-// through any of the four backends.
+// service that owns a registry of named networks and answers
+// point-location traffic in batches and streams through any of the
+// five resolver kinds (internal/resolve).
 //
 // # Endpoints
 //
@@ -64,12 +63,20 @@
 // Queries capture the snapshot once at the start of a request, so
 // in-flight batches and streams finish against the resolver they
 // started with while new requests see the new network — mobility
-// updates never drop traffic. Resolvers are cached per (network,
-// version, kind, eps, radius); concurrent first requests for the same
-// key share one build (single-flight — the O(n^3/eps) locator build
-// is the expensive case), and the cache evicts least-recently-used
-// resolvers beyond its capacity, which also ages out resolvers of
-// replaced network versions.
+// updates never drop traffic.
+//
+// # Caching
+//
+// The exact, voronoi and dynamic kinds answer from resolvers each
+// generation builds when it is published — O(1) wraps of its network
+// and epoch snapshot; voronoi shares the dynamic one — so they never
+// touch a cache. Locator and UDG resolvers are cached per (network
+// incarnation, version, kind, eps, radius) and schedules per (network
+// incarnation, parameters) in one single-flight LRU type (cache.go):
+// concurrent first requests for a key share one build (the O(n^3/eps)
+// locator build is the expensive case), publishing a generation drops
+// its predecessors' resolvers while a superseded schedule stays to
+// seed the next repair, and deleting a network drops all it cached.
 //
 // # Answer convention
 //

@@ -135,7 +135,7 @@ func schedKindIdx(k sched.Kind) int {
 	return 0
 }
 
-func newServeMetrics(cache *resolverCache, schedules *schedCache) *serveMetrics {
+func newServeMetrics(resolvers *flightCache[resolverKey, resolve.Resolver], schedules *flightCache[schedKey, *schedResult]) *serveMetrics {
 	reg := metrics.NewRegistry()
 	m := &serveMetrics{reg: reg}
 	for rt := route(0); rt < numRoutes; rt++ {
@@ -181,32 +181,32 @@ func newServeMetrics(cache *resolverCache, schedules *schedCache) *serveMetrics 
 	}
 	reg.CounterFunc("sinr_schedule_cache_hits_total",
 		"Schedule cache hits (current-generation answers without a build).",
-		func() uint64 { return uint64(schedules.Hits()) })
+		func() uint64 { return uint64(schedules.hits.Load()) })
 	reg.CounterFunc("sinr_schedule_cache_builds_total",
 		"Schedule builds started (fresh computes plus repairs).",
-		func() uint64 { return uint64(schedules.Builds()) })
+		func() uint64 { return uint64(schedules.builds.Load()) })
 	reg.CounterFunc("sinr_schedule_cache_repairs_total",
 		"Schedule builds that repaired a superseded schedule instead of recomputing.",
-		func() uint64 { return uint64(schedules.Repairs()) })
+		m.schedResults[schedPathIdx("repaired")].Value)
 	reg.GaugeFunc("sinr_schedule_cache_entries",
 		"Schedules currently cached or building.",
 		func() float64 { return float64(schedules.Len()) })
 
 	reg.CounterFunc("sinr_resolver_cache_hits_total",
-		"Resolver cache hits (including waits on an in-flight single-flight build).",
-		func() uint64 { return uint64(cache.Hits()) })
+		"Resolver cache hits: locator and UDG requests served a cached resolver, including joins of another request's successful build.",
+		func() uint64 { return uint64(resolvers.hits.Load()) })
 	reg.CounterFunc("sinr_resolver_cache_misses_total",
 		"Resolver cache misses, i.e. resolver builds started.",
-		func() uint64 { return uint64(cache.Builds()) })
+		func() uint64 { return uint64(resolvers.builds.Load()) })
 	reg.CounterFunc("sinr_resolver_cache_evicted_total",
 		"Resolver cache LRU capacity evictions.",
-		func() uint64 { return uint64(cache.Evicted()) })
+		func() uint64 { return uint64(resolvers.evicted.Load()) })
 	reg.CounterFunc("sinr_resolver_cache_invalidated_total",
-		"Resolver cache entries dropped for superseded network generations.",
-		func() uint64 { return uint64(cache.Invalidated()) })
+		"Resolver cache entries dropped for superseded or deleted network generations.",
+		func() uint64 { return uint64(resolvers.dropped.Load()) })
 	reg.GaugeFunc("sinr_resolver_cache_entries",
 		"Resolvers currently cached or building.",
-		func() float64 { return float64(cache.Len()) })
+		func() float64 { return float64(resolvers.Len()) })
 
 	metrics.RegisterGoRuntime(reg)
 	return m

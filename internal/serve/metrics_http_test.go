@@ -21,7 +21,7 @@ func TestMetricsEndpointCounts(t *testing.T) {
 	_, ts := admissionServer(t, Options{}, "m")
 
 	locate := func(points int) {
-		req := LocateRequest{Network: "m", Resolver: "exact"}
+		req := LocateRequest{Network: "m", Resolver: "udg"}
 		req.Points = make([]PointJSON, points)
 		resp := postJSON(t, ts, "/v1/locate", req)
 		if resp.StatusCode != http.StatusOK {
@@ -51,8 +51,8 @@ func TestMetricsEndpointCounts(t *testing.T) {
 		{"sinr_http_requests_total", []metrics.Label{metrics.L("route", "locate"), metrics.L("code", "4xx")}, 1},
 		{"sinr_http_requests_total", []metrics.Label{metrics.L("route", "networks"), metrics.L("code", "2xx")}, 1},
 		{"sinr_http_request_seconds_count", []metrics.Label{metrics.L("route", "locate")}, 4},
-		{"sinr_locate_queries_total", []metrics.Label{metrics.L("resolver", "exact")}, 6},
-		{"sinr_resolve_seconds_count", []metrics.Label{metrics.L("resolver", "exact")}, 3},
+		{"sinr_locate_queries_total", []metrics.Label{metrics.L("resolver", "udg")}, 6},
+		{"sinr_resolve_seconds_count", []metrics.Label{metrics.L("resolver", "udg")}, 3},
 		{"sinr_resolver_cache_misses_total", nil, 1},
 		{"sinr_resolver_cache_hits_total", nil, 2},
 		{"sinr_resolver_cache_entries", nil, 1},

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -165,8 +166,8 @@ func TestPatchErrors(t *testing.T) {
 // PATCH-vs-stream race test: an NDJSON stream starts on one
 // generation, a delta lands mid-stream, and the stream must (a) finish
 // every answer on its pinned epoch, (b) leak no goroutines, and (c)
-// leave the superseded generation's resolver released from the cache
-// once new traffic lands. Run with -race.
+// leave the superseded generation's cached (UDG) resolver released
+// from the cache once new traffic lands. Run with -race.
 func TestPatchDuringStreamPinsEpochAndReleasesResolver(t *testing.T) {
 	srv := NewServer(Options{Workers: 2})
 	ts := httptest.NewServer(srv)
@@ -232,6 +233,14 @@ func TestPatchDuringStreamPinsEpochAndReleasesResolver(t *testing.T) {
 	if v := streamResp.Header.Get("Sinr-Network-Version"); v != "1" {
 		t.Fatalf("stream pinned to version %s, want 1", v)
 	}
+	// The dynamic stream wraps its epoch and caches nothing; a UDG
+	// batch puts a resolver of generation 1 into the cache.
+	postJSON(t, ts, "/v1/locate", LocateRequest{
+		Network: "pin", Resolver: "udg", Points: []PointJSON{{X: 0.1, Y: 0.2}},
+	}).Body.Close()
+	if got := srv.resolvers.Len(); got != 1 {
+		t.Fatalf("cache holds %d resolvers before the swap, want 1", got)
+	}
 
 	sc := bufio.NewScanner(streamResp.Body)
 	read := 0
@@ -278,14 +287,14 @@ func TestPatchDuringStreamPinsEpochAndReleasesResolver(t *testing.T) {
 	// New traffic lands on the new generation and, with the swap done,
 	// the superseded generation's resolver is released from the cache.
 	lr := decodeJSON[LocateResponse](t, postJSON(t, ts, "/v1/locate",
-		LocateRequest{Network: "pin", Resolver: "dynamic", Points: []PointJSON{{X: 0.1, Y: 0.2}}}))
+		LocateRequest{Network: "pin", Resolver: "udg", Points: []PointJSON{{X: 0.1, Y: 0.2}}}))
 	if lr.Version != 2 {
 		t.Fatalf("post-patch batch answered from version %d, want 2", lr.Version)
 	}
 	if lr.Results[0].Station != 0 {
 		t.Fatalf("post-patch network answers station %d at its own station, want 0", lr.Results[0].Station)
 	}
-	if got := srv.cache.Len(); got != 1 {
+	if got := srv.resolvers.Len(); got != 1 {
 		t.Fatalf("cache holds %d resolvers after the swap, want 1 (superseded epoch released)", got)
 	}
 
@@ -313,4 +322,111 @@ func waitForServeGoroutines(base int, deadline time.Duration) int {
 		time.Sleep(5 * time.Millisecond)
 	}
 	return n
+}
+
+// TestExactKindsNeverTouchTheCache PATCHes a network repeatedly while
+// querying the exact, voronoi and dynamic kinds: each answer equals
+// HeardBy on the generation its response names, each response echoes
+// the kind it asked for, and the resolver cache never builds or holds
+// a resolver — these kinds answer from resolvers their generation
+// owns. Arrivals carry power 2, so later generations take the
+// non-uniform (strongest-signal) path.
+func TestExactKindsNeverTouchTheCache(t *testing.T) {
+	srv := NewServer(Options{Workers: 2})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	const generations = 12
+	base, arrivals := testStations(t, 10, 95), testStations(t, generations-1, 96)
+	probes := workload.NewGenerator(97).QueryPoints(200, geom.NewBox(geom.Pt(-6, -6), geom.Pt(6, 6)))
+	// truth[v] answers the probes on generation v: the base stations
+	// plus the first v-1 arrivals.
+	truth := make([][]int, generations+1)
+	for v := 1; v <= generations; v++ {
+		pts := append(append([]geom.Point(nil), base...), arrivals[:v-1]...)
+		powers := make([]float64, len(pts))
+		for i := range powers {
+			powers[i] = 1
+			if i >= len(base) {
+				powers[i] = 2
+			}
+		}
+		net, err := core.NewNetwork(pts, 0.01, 3, core.WithPowers(powers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		truth[v] = net.HeardByBatch(probes)
+	}
+	postJSON(t, ts, "/v1/networks", registerReq("bypass", base, 0.01, 3)).Body.Close()
+
+	locate := func(kind string) error {
+		req := LocateRequest{Network: "bypass", Resolver: kind}
+		for _, p := range probes {
+			req.Points = append(req.Points, PointJSON{X: p.X, Y: p.Y})
+		}
+		b, err := json.Marshal(req)
+		if err != nil {
+			return err
+		}
+		resp, err := ts.Client().Post(ts.URL+"/v1/locate", "application/json", bytes.NewReader(b))
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		var lr LocateResponse
+		if err := json.NewDecoder(resp.Body).Decode(&lr); err != nil {
+			return fmt.Errorf("%s: %s: %v", kind, resp.Status, err)
+		}
+		if lr.Resolver != kind {
+			return fmt.Errorf("asked for %s, response names %q", kind, lr.Resolver)
+		}
+		if lr.Version < 1 || lr.Version > generations {
+			return fmt.Errorf("%s: answered from unknown version %d", kind, lr.Version)
+		}
+		for i, r := range lr.Results {
+			if want := truth[lr.Version][i]; r.Station != want {
+				return fmt.Errorf("%s, version %d: station %d at %v, HeardBy %d", kind, lr.Version, r.Station, probes[i], want)
+			}
+		}
+		return nil
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	// Runs before ts.Close even when a PATCH check fails the test.
+	stopReaders := sync.OnceFunc(func() { close(stop); wg.Wait() })
+	defer stopReaders()
+	for _, kind := range []string{"exact", "voronoi", "dynamic"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				if err := locate(kind); err != nil {
+					t.Error(err)
+					return
+				}
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	for v := 2; v <= generations; v++ {
+		a := arrivals[v-2]
+		got := decodeJSON[NetworkResponse](t, patchJSON(t, ts, "bypass",
+			NetworkDeltaRequest{Add: []DeltaStationJSON{{X: a.X, Y: a.Y, Power: 2}}}))
+		if got.Version != uint64(v) {
+			t.Fatalf("patch %d: version %d", v, got.Version)
+		}
+	}
+	stopReaders()
+
+	if got := srv.LocatorBuilds(); got != 0 {
+		t.Errorf("LocatorBuilds = %d, want 0", got)
+	}
+	if v := mustValue(t, scrapeMetrics(t, ts), "sinr_resolver_cache_entries"); v != 0 {
+		t.Errorf("sinr_resolver_cache_entries = %g, want 0", v)
+	}
 }

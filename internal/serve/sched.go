@@ -1,11 +1,8 @@
 package serve
 
 import (
-	"container/list"
 	"math"
 	"net/http"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/sched"
@@ -15,11 +12,10 @@ import (
 // /v1/networks/{name}/schedule builds a schedule for the network's
 // derived link set (sched.DeriveLinks over the served snapshot's
 // stations, so server and clients agree on the links without shipping
-// them). Schedules are cached per parameter set; the cache key
-// deliberately omits the network generation, so after a PATCH delta
-// the next request finds the superseded schedule and REPAIRS it
-// through the improver — cost proportional to the delta — instead of
-// recomputing from scratch.
+// them). Schedules are cached per network incarnation and parameter
+// set, across generations: after a PATCH delta the next request finds
+// the superseded schedule and REPAIRS it through the improver — cost
+// proportional to the delta — instead of recomputing from scratch.
 
 // ScheduleRequest is the POST /v1/networks/{name}/schedule body.
 // Scheduler is "greedy", "lenclass" or "repair" (empty means greedy);
@@ -59,12 +55,11 @@ type ScheduleResponse struct {
 	Slots     [][]int            `json:"slots"`
 }
 
-// schedKey identifies one schedule computation up to the network
-// generation. All parameters are normalized (defaults resolved,
-// model-irrelevant knobs zeroed) before the lookup, so requests
-// differing only in an ignored knob share a slot.
+// schedKey is the request part of a cached schedule's key, which adds
+// the network incarnation but no generation. All parameters are
+// normalized (defaults resolved, model-irrelevant knobs zeroed) before
+// the lookup, so requests differing only in an ignored knob share a slot.
 type schedKey struct {
-	name    string
 	kind    sched.Kind
 	model   string
 	order   string
@@ -84,159 +79,6 @@ type schedResult struct {
 	schedule *sched.Schedule
 	path     string // "computed" or "repaired"
 	repair   *sched.RepairStats
-}
-
-// schedEntry is one cached (possibly still building) schedule.
-type schedEntry struct {
-	ready chan struct{}
-	res   *schedResult
-	err   error
-}
-
-type schedKV struct {
-	key schedKey
-	e   *schedEntry
-}
-
-// schedCache is a single-flight LRU cache of schedules. Unlike
-// resolverCache its keys are generation-free: a superseded entry is
-// not dropped but handed to the rebuild as the repair baseline.
-type schedCache struct {
-	mu      sync.Mutex
-	cap     int
-	entries map[schedKey]*list.Element
-	lru     *list.List // of *schedKV, front = most recently used
-	hits    atomic.Int64
-	builds  atomic.Int64
-	repairs atomic.Int64
-}
-
-func newSchedCache(capacity int) *schedCache {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &schedCache{
-		cap:     capacity,
-		entries: make(map[schedKey]*list.Element),
-		lru:     list.New(),
-	}
-}
-
-// get returns the schedule for key at network generation >= version,
-// building (or repairing a superseded cached result) with build on a
-// miss. build receives the previous generation's result, or nil, and
-// must itself load the network's current snapshot — so a winner's
-// result can only be newer than a waiter asked for, never older, and
-// the loop below terminates because versions are monotone. The bool
-// reports whether the answer came straight from cache.
-func (c *schedCache) get(key schedKey, version uint64, build func(prev *schedResult) (*schedResult, error)) (*schedResult, bool, error) {
-	for {
-		c.mu.Lock()
-		el, ok := c.entries[key]
-		if !ok {
-			e := &schedEntry{ready: make(chan struct{})}
-			c.entries[key] = c.lru.PushFront(&schedKV{key: key, e: e})
-			c.evictLocked()
-			c.mu.Unlock()
-			return c.run(key, e, nil, build)
-		}
-		kv := el.Value.(*schedKV)
-		e := kv.e
-		c.lru.MoveToFront(el)
-		c.mu.Unlock()
-		<-e.ready
-		if e.err == nil && e.res.version >= version {
-			c.hits.Add(1)
-			return e.res, true, nil
-		}
-		// Superseded (or failed): swap in a fresh in-flight entry if no
-		// one else has yet, otherwise loop and wait on the winner's.
-		c.mu.Lock()
-		el2, ok2 := c.entries[key]
-		if ok2 && el2.Value.(*schedKV).e == e {
-			ne := &schedEntry{ready: make(chan struct{})}
-			el2.Value.(*schedKV).e = ne
-			c.mu.Unlock()
-			var prev *schedResult
-			if e.err == nil {
-				prev = e.res
-			}
-			return c.run(key, ne, prev, build)
-		}
-		c.mu.Unlock()
-	}
-}
-
-// run executes build outside the lock and publishes the outcome;
-// failed builds are dropped so a later request retries.
-func (c *schedCache) run(key schedKey, e *schedEntry, prev *schedResult, build func(prev *schedResult) (*schedResult, error)) (*schedResult, bool, error) {
-	c.builds.Add(1)
-	res, err := build(prev)
-	if err == nil && res.path == "repaired" {
-		c.repairs.Add(1)
-	}
-	c.mu.Lock()
-	e.res, e.err = res, err
-	if err != nil {
-		if el, ok := c.entries[key]; ok && el.Value.(*schedKV).e == e {
-			c.lru.Remove(el)
-			delete(c.entries, key)
-		}
-	}
-	c.mu.Unlock()
-	close(e.ready)
-	return res, false, err
-}
-
-// evictLocked trims least-recently-used entries beyond capacity.
-// Waiters on an evicted in-flight entry still hold its pointer and
-// complete normally; the entry simply stops being findable.
-func (c *schedCache) evictLocked() {
-	for el := c.lru.Back(); el != nil && len(c.entries) > c.cap; {
-		prev := el.Prev()
-		kv := el.Value.(*schedKV)
-		c.lru.Remove(el)
-		delete(c.entries, kv.key)
-		el = prev
-	}
-}
-
-// invalidateName drops every cached schedule of one network — the
-// delete path. Schedule keys are generation-free (supersession is
-// repaired, not evicted), so without this a deleted network's
-// schedules would sit in cache until LRU pressure aged them out, and a
-// re-created namesake could answer from the dead network's slots via
-// the repair path.
-func (c *schedCache) invalidateName(name string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for el := c.lru.Front(); el != nil; {
-		next := el.Next()
-		kv := el.Value.(*schedKV)
-		if kv.key.name == name {
-			c.lru.Remove(el)
-			delete(c.entries, kv.key)
-		}
-		el = next
-	}
-}
-
-// Hits returns cache hits (current-generation answers served without
-// a build).
-func (c *schedCache) Hits() int64 { return c.hits.Load() }
-
-// Builds returns schedule builds started (fresh computes and repairs).
-func (c *schedCache) Builds() int64 { return c.builds.Load() }
-
-// Repairs returns how many builds took the repair path instead of
-// recomputing.
-func (c *schedCache) Repairs() int64 { return c.repairs.Load() }
-
-// Len returns the number of cached (or building) schedules.
-func (c *schedCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
 }
 
 // finiteNonNeg rejects NaN/Inf/negative knobs before they can reach a
@@ -310,7 +152,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "beta, noise and radii must be non-negative finite numbers")
 		return
 	}
-	key := schedKey{name: name, kind: kind, model: model, order: order, linkLen: linkLen}
+	key := schedKey{kind: kind, model: model, order: order, linkLen: linkLen}
 	switch model {
 	case "sinr":
 		key.beta, key.noise = req.Beta, req.Noise
@@ -349,7 +191,8 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	tr.SetNetwork(name)
 	bs := tr.Start("sched.cached")
 	t0 := time.Now()
-	res, cached, err := s.schedules.get(key, snap.version, func(prev *schedResult) (*schedResult, error) {
+	fresh := func(r *schedResult) bool { return r.version >= snap.version }
+	res, cached, err := s.schedules.get(cacheKey[schedKey]{net: entry, params: key}, fresh, func(prev *schedResult) (*schedResult, error) {
 		// Load the snapshot inside the build so a winner never caches a
 		// generation older than any waiter's.
 		return buildSchedule(key, entry.snap.Load(), prev)

@@ -172,8 +172,8 @@ func TestSchedulePatchThenRepair(t *testing.T) {
 		t.Fatalf("third = %+v", third)
 	}
 
-	if srv.schedules.Repairs() != 1 {
-		t.Errorf("cache repairs = %d, want 1", srv.schedules.Repairs())
+	if got := srv.m.schedResults[schedPathIdx("repaired")].Value(); got != 1 {
+		t.Errorf("cache repairs = %d, want 1", got)
 	}
 }
 
@@ -240,7 +240,7 @@ func TestScheduleSingleFlight(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if builds := srv.schedules.Builds(); builds != 1 {
+	if builds := srv.schedules.builds.Load(); builds != 1 {
 		t.Errorf("builds = %d, want 1 (single flight)", builds)
 	}
 }

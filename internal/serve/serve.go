@@ -35,14 +35,14 @@ const DefaultEps = resolve.DefaultEps
 
 // Options configures a Server.
 type Options struct {
-	// MaxLocators caps the locator cache (default 8). Each cached
-	// locator is O(n/eps) memory.
+	// MaxLocators caps the cache of locator and UDG resolvers (default
+	// 8). Each cached locator is O(n/eps) memory.
 	MaxLocators int
 	// DefaultEps is the eps used by requests that omit it (default
 	// DefaultEps).
 	DefaultEps float64
 	// Workers is the worker count for locator builds and batch
-	// queries; 0 means one per schedulable CPU.
+	// queries; 0 (or less) means one per schedulable CPU.
 	Workers int
 	// MaxBatch caps the number of points accepted in one /v1/locate
 	// request (default 1<<20).
@@ -101,14 +101,16 @@ type Options struct {
 // mid-request. kind and radius are the network's registered defaults;
 // a request's own "resolver"/"radius" fields override them per query.
 // epoch is the dynamic-engine epoch snapshot behind this generation —
-// the station set net was materialized from — and is what the dynamic
-// resolver kind answers with.
+// the station set net was materialized from. exact (the scan oracle
+// over net) and dynamic (over epoch, answering the voronoi and dynamic
+// kinds) are O(1) wraps built once by publish, never cached.
 type snapshot struct {
-	net     *core.Network
-	version uint64
-	kind    resolve.Kind
-	radius  float64
-	epoch   *dynamic.Snapshot
+	net            *core.Network
+	version        uint64
+	kind           resolve.Kind
+	radius         float64
+	epoch          *dynamic.Snapshot
+	exact, dynamic resolve.Resolver
 	// Declarative identity: the normalized spec this generation serves,
 	// its canonical serialization (the GET /v1/networks/{name} readback,
 	// byte-stable through create) and the content hash the reconcile
@@ -134,14 +136,14 @@ type netEntry struct {
 	sem  chan struct{}
 }
 
-// Server owns the network registry and locator cache and implements
+// Server owns the network registry and its caches and implements
 // http.Handler. Create one with NewServer; it is safe for concurrent
 // use.
 type Server struct {
 	opt       Options
 	mux       *http.ServeMux
-	cache     *resolverCache
-	schedules *schedCache
+	resolvers *flightCache[resolverKey, resolve.Resolver]
+	schedules *flightCache[schedKey, *schedResult]
 	m         *serveMetrics
 	ids       *trace.IDSource
 	recorder  *trace.Recorder
@@ -164,6 +166,9 @@ func NewServer(opt Options) *Server {
 	}
 	if opt.DefaultEps <= 0 {
 		opt.DefaultEps = DefaultEps
+	}
+	if opt.Workers < 0 {
+		opt.Workers = 0
 	}
 	if opt.MaxBatch <= 0 {
 		opt.MaxBatch = 1 << 20
@@ -189,14 +194,14 @@ func NewServer(opt Options) *Server {
 	s := &Server{
 		opt:       opt,
 		mux:       http.NewServeMux(),
-		cache:     newResolverCache(opt.MaxLocators),
-		schedules: newSchedCache(opt.MaxSchedules),
+		resolvers: newFlightCache[resolverKey, resolve.Resolver](opt.MaxLocators),
+		schedules: newFlightCache[schedKey, *schedResult](opt.MaxSchedules),
 		nets:      make(map[string]*netEntry),
 		ids:       trace.NewIDSource(),
 		recorder:  trace.NewRecorder(recorderRoutes(), flightSlowN, flightErrN),
 		drainCh:   make(chan struct{}),
 	}
-	s.m = newServeMetrics(s.cache, s.schedules)
+	s.m = newServeMetrics(s.resolvers, s.schedules)
 	s.ready.Store(true)
 	// Retry-After is whole seconds on the wire; round sub-second
 	// hints up so a shed client never retries inside the same window.
@@ -251,11 +256,9 @@ func (s *Server) Drain() {
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
 // LocatorBuilds returns the number of resolver builds the server has
-// started — a cache-efficiency counter (and the single-flight test
-// hook). The name predates the pluggable-resolver API: since every
-// backend now flows through the same cache, the counter covers the
-// cheap baselines too, not just Theorem 3 locators.
-func (s *Server) LocatorBuilds() int64 { return s.cache.Builds() }
+// started — locator and UDG builds, the only kinds the resolver cache
+// holds. A cache-efficiency counter and the single-flight test hook.
+func (s *Server) LocatorBuilds() int64 { return s.resolvers.builds.Load() }
 
 // Wire types.
 
@@ -505,11 +508,8 @@ func (s *Server) handlePatchNetwork(w http.ResponseWriter, r *http.Request) {
 	if old.spec != nil {
 		next.spec, next.specJSON, next.specHash = respec(old.spec, es.Network())
 	}
-	entry.snap.Store(next)
+	s.publish(entry, next)
 	entry.mu.Unlock()
-
-	// Release the superseded generation's resolvers.
-	s.cache.invalidate(name, version)
 
 	stats := es.ApplyStats()
 	writeJSON(w, http.StatusOK, NetworkResponse{
@@ -567,14 +567,38 @@ func (s *Server) entryFor(name string) (*netEntry, bool) {
 	return entry, true
 }
 
+// publish makes next the live generation of entry: it wraps next's
+// exact and dynamic resolvers, swaps the snapshot in, and drops the
+// cached resolvers of superseded generations. Every writer — POST
+// register/replace, ApplySpec convergence and PATCH — lands here while
+// holding entry.mu, so versions stay monotone per incarnation.
+func (s *Server) publish(entry *netEntry, next *snapshot) {
+	// Neither wrap can fail: NewServer clamps Workers to >= 0 and every
+	// generation carries its epoch snapshot.
+	workers := resolve.WithWorkers(s.opt.Workers)
+	next.exact, _ = resolve.NewExact(next.net, workers)
+	next.dynamic, _ = resolve.NewDynamicSnapshot(next.epoch, workers)
+	entry.snap.Store(next)
+	s.resolvers.drop(entry, next.version)
+}
+
+// resolverKey is the request part of a cached resolver's key: the
+// locator at eps or the UDG baseline at radius, the other knob zero.
+type resolverKey struct {
+	kind   resolve.Kind
+	eps    float64
+	radius float64
+}
+
 // resolverFor captures the current snapshot of entry and returns the
-// resolver answering spec against it, building (or joining an
-// in-flight single-flight build) on a cache miss. Parameters
+// resolver answering spec against it: the snapshot's own for the
+// exact, voronoi and dynamic kinds, otherwise a cached one, built (or
+// joined as an in-flight single-flight build) on a miss. Parameters
 // irrelevant to the chosen backend are normalized to zero before the
 // cache lookup, so requests differing only in an ignored knob share
 // one resolver. The returned kind and eps are the effective ones
 // (after defaulting), for echoing in responses.
-func (s *Server) resolverFor(tr *trace.Trace, name string, entry *netEntry, spec resolverSpec) (*snapshot, resolve.Resolver, resolve.Kind, float64, error) {
+func (s *Server) resolverFor(tr *trace.Trace, entry *netEntry, spec resolverSpec) (*snapshot, resolve.Resolver, resolve.Kind, float64, error) {
 	snap := entry.snap.Load()
 	if snap == nil {
 		return nil, nil, 0, 0, errUnknownNetwork
@@ -593,6 +617,13 @@ func (s *Server) resolverFor(tr *trace.Trace, name string, entry *netEntry, spec
 	// build plus a permanently leaked cache entry.
 	eps, radius := 0.0, 0.0
 	switch kind {
+	case resolve.KindExact:
+		return snap, snap.exact, kind, 0, nil
+	case resolve.KindVoronoi, resolve.KindDynamic:
+		// Both are one candidate station plus one SINR check
+		// (Observation 2.2), and the epoch snapshot's answers equal the
+		// voronoi backend's point for point, so the kinds share it.
+		return snap, snap.dynamic, kind, 0, nil
 	case resolve.KindLocator:
 		eps = spec.eps
 		if eps == 0 {
@@ -610,20 +641,14 @@ func (s *Server) resolverFor(tr *trace.Trace, name string, entry *netEntry, spec
 			return nil, nil, 0, 0, fmt.Errorf("serve: radius must be a non-negative finite number, got %g", radius)
 		}
 	}
-	key := cacheKey{name: name, version: snap.version, kind: kind, eps: eps, radius: radius}
+	key := cacheKey[resolverKey]{entry, snap.version, resolverKey{kind, eps, radius}}
 	// One span covers the cache interaction either way: it begins as a
 	// hit (covering any wait on another request's in-flight build) and
 	// is renamed when this request turns out to run the build itself.
 	si := tr.Start("resolver.hit")
 	defer tr.End(si)
-	res, err := s.cache.get(key, func() (resolve.Resolver, error) {
+	res, _, err := s.resolvers.get(key, nil, func(resolve.Resolver) (resolve.Resolver, error) {
 		tr.SetName(si, "resolver.build")
-		if kind == resolve.KindDynamic {
-			// The epoch snapshot already carries its query structures:
-			// an O(1) wrap instead of a backend build, which is what
-			// keeps per-PATCH resolver turnover off the rebuild cost.
-			return resolve.NewDynamicSnapshot(snap.epoch, resolve.WithWorkers(s.opt.Workers))
-		}
 		opts := []resolve.Option{resolve.WithWorkers(s.opt.Workers)}
 		if kind == resolve.KindLocator {
 			opts = append(opts, resolve.WithEpsilon(eps))
@@ -724,7 +749,7 @@ func (s *Server) handleLocate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer entry.release()
-	snap, res, kind, eps, err := s.resolverFor(tr, req.Network, entry, resolverSpec{
+	snap, res, kind, eps, err := s.resolverFor(tr, entry, resolverSpec{
 		kind: req.Resolver, eps: req.Eps, radius: req.Radius,
 	})
 	if err != nil {
@@ -801,7 +826,7 @@ func (s *Server) handleLocateStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer entry.release()
-	snap, res, kind, _, err := s.resolverFor(tr, name, entry, spec)
+	snap, res, kind, _, err := s.resolverFor(tr, entry, spec)
 	if err != nil {
 		writeError(w, locateStatus(err), "%v", err)
 		return

@@ -612,7 +612,7 @@ func TestLRUEviction(t *testing.T) {
 		}
 		resp.Body.Close()
 	}
-	if got := srv.cache.Len(); got > 2 {
+	if got := srv.resolvers.Len(); got > 2 {
 		t.Errorf("cache holds %d locators, cap 2", got)
 	}
 	// eps 0.3 was evicted by 0.1 and had to rebuild: 4 builds total.
@@ -930,21 +930,24 @@ func TestResolverErrors(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	// A tiny eps is only a locator concern: the exact backend must
-	// ignore it instead of rejecting the request.
+	// A tiny eps is only a locator concern: the exact and UDG backends
+	// must ignore it instead of rejecting the request. Exact builds
+	// nothing; UDG builds once.
 	before := srv.LocatorBuilds()
-	req = LocateRequest{Network: "ok", Resolver: "exact", Eps: 1e-9, Points: []PointJSON{{X: 1}}}
-	resp = postJSON(t, ts, "/v1/locate", req)
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("exact backend rejected an (irrelevant) tiny eps: %s", resp.Status)
+	for _, kind := range []string{"exact", "udg"} {
+		req = LocateRequest{Network: "ok", Resolver: kind, Eps: 1e-9, Points: []PointJSON{{X: 1}}}
+		resp = postJSON(t, ts, "/v1/locate", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("%s backend rejected an (irrelevant) tiny eps: %s", kind, resp.Status)
+		}
+		resp.Body.Close()
 	}
-	resp.Body.Close()
 	if got := srv.LocatorBuilds(); got != before+1 {
-		t.Errorf("exact build count advanced by %d, want 1", got-before)
+		t.Errorf("build count advanced by %d, want 1 (the udg build)", got-before)
 	}
 
 	// Requests differing only in an ignored knob share one resolver.
-	req = LocateRequest{Network: "ok", Resolver: "exact", Eps: 0.3, Points: []PointJSON{{X: 1}}}
+	req = LocateRequest{Network: "ok", Resolver: "udg", Eps: 0.3, Points: []PointJSON{{X: 1}}}
 	resp = postJSON(t, ts, "/v1/locate", req)
 	resp.Body.Close()
 	if got := srv.LocatorBuilds(); got != before+1 {
@@ -984,7 +987,7 @@ func TestNaNKnobsRejectedBeforeCaching(t *testing.T) {
 	if got := srv.LocatorBuilds(); got != 0 {
 		t.Errorf("NaN knobs started %d builds, want 0", got)
 	}
-	if got := srv.cache.Len(); got != 0 {
+	if got := srv.resolvers.Len(); got != 0 {
 		t.Errorf("NaN knobs leaked %d cache entries, want 0", got)
 	}
 

@@ -395,8 +395,7 @@ func (s *Server) tryConverge(spec *NetworkSpec, canonical []byte, hash string, k
 		}
 		next.net, next.epoch = es.Network(), es
 	}
-	entry.snap.Store(next)
-	s.cache.invalidate(spec.Name, version)
+	s.publish(entry, next)
 	return SpecResult{
 		Name: spec.Name, Outcome: SpecPatched, Version: version,
 		Stations: next.net.NumStations(), Resolver: kind.String(),
@@ -457,13 +456,11 @@ func (s *Server) rebuildFromSpec(spec *NetworkSpec, canonical []byte, hash strin
 		outcome = SpecReplaced
 	}
 	entry.dyn = dyn
-	entry.snap.Store(&snapshot{
+	s.publish(entry, &snapshot{
 		net: net, version: version, kind: kind, radius: spec.Radius, epoch: dyn.Snapshot(),
 		spec: spec, specJSON: canonical, specHash: hash,
 	})
 	entry.mu.Unlock()
-
-	s.cache.invalidate(spec.Name, version)
 	return SpecResult{
 		Name: spec.Name, Outcome: outcome, Version: version,
 		Stations: net.NumStations(), Resolver: kind.String(),
@@ -478,7 +475,7 @@ func (s *Server) rebuildFromSpec(spec *NetworkSpec, canonical []byte, hash strin
 // normally on their pinned snapshot.
 func (s *Server) DeleteNetwork(name string) bool {
 	s.mu.Lock()
-	_, ok := s.nets[name]
+	entry, ok := s.nets[name]
 	if ok {
 		delete(s.nets, name)
 		// Unregister under s.mu so a concurrent re-registration of the
@@ -490,8 +487,8 @@ func (s *Server) DeleteNetwork(name string) bool {
 	if !ok {
 		return false
 	}
-	s.cache.invalidate(name, math.MaxUint64)
-	s.schedules.invalidateName(name)
+	s.resolvers.drop(entry, math.MaxUint64)
+	s.schedules.drop(entry, math.MaxUint64)
 	// The observability surface forgets the network too: captured
 	// traces leave the flight recorder and its exemplars leave the
 	// latency histograms, mirroring the gauge eviction above — both

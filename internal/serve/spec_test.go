@@ -3,12 +3,15 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/core"
 	"repro/internal/geom"
 )
 
@@ -296,7 +299,7 @@ func TestDeleteEvictsEverything(t *testing.T) {
 
 	// Populate both caches.
 	resp = postJSON(t, ts, "/v1/locate", LocateRequest{
-		Network: "doomed", Resolver: "exact", Points: []PointJSON{{X: 0.5, Y: 0.5}},
+		Network: "doomed", Resolver: "udg", Points: []PointJSON{{X: 0.5, Y: 0.5}},
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("locate: %s", resp.Status)
@@ -307,8 +310,8 @@ func TestDeleteEvictsEverything(t *testing.T) {
 		t.Fatalf("schedule: %s", resp.Status)
 	}
 	resp.Body.Close()
-	if srv.cache.Len() == 0 || srv.schedules.Len() == 0 {
-		t.Fatalf("caches not populated: resolvers %d, schedules %d", srv.cache.Len(), srv.schedules.Len())
+	if srv.resolvers.Len() == 0 || srv.schedules.Len() == 0 {
+		t.Fatalf("caches not populated: resolvers %d, schedules %d", srv.resolvers.Len(), srv.schedules.Len())
 	}
 
 	scrape := func() string {
@@ -344,8 +347,8 @@ func TestDeleteEvictsEverything(t *testing.T) {
 	if got := scrape(); strings.Contains(got, `network="doomed"`) {
 		t.Fatalf("per-network series survived delete:\n%s", got)
 	}
-	if srv.cache.Len() != 0 {
-		t.Fatalf("%d resolver cache entries survived delete", srv.cache.Len())
+	if srv.resolvers.Len() != 0 {
+		t.Fatalf("%d resolver cache entries survived delete", srv.resolvers.Len())
 	}
 	if srv.schedules.Len() != 0 {
 		t.Fatalf("%d schedule cache entries survived delete", srv.schedules.Len())
@@ -376,6 +379,81 @@ func TestDeleteEvictsEverything(t *testing.T) {
 	resp.Body.Close()
 	if !strings.Contains(scrape(), `sinr_network_stations{network="doomed"} 4`) {
 		t.Fatal("per-network gauge missing after re-create")
+	}
+}
+
+// TestRecreateDuringBuildServesNewNetwork is the delete/re-create
+// regression: a locator build still running when its network is
+// deleted and a namesake registered must never answer for the
+// namesake. Versions restart at 1 on re-create, so only the network
+// incarnation tells the two builds apart.
+func TestRecreateDuringBuildServesNewNetwork(t *testing.T) {
+	srv := NewServer(Options{})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	oldStations, newStations := testStations(t, 24, 91), testStations(t, 24, 92)
+	postJSON(t, ts, "/v1/networks", registerReq("reborn", oldStations, 0.01, 3)).Body.Close()
+
+	query := LocateRequest{Network: "reborn", Resolver: "locator", Eps: 0.3}
+	for _, p := range newStations {
+		query.Points = append(query.Points, PointJSON{X: p.X, Y: p.Y})
+	}
+	body, err := json.Marshal(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		resp, err := ts.Client().Post(ts.URL+"/v1/locate", "application/json", bytes.NewReader(body))
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				err = fmt.Errorf("status %s", resp.Status)
+			}
+		}
+		done <- err
+	}()
+	for deadline := time.Now().Add(10 * time.Second); srv.LocatorBuilds() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the first locator build never started")
+		}
+	}
+
+	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/networks/reborn", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dresp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dresp.Body.Close()
+	postJSON(t, ts, "/v1/networks", registerReq("reborn", newStations, 0.01, 3)).Body.Close()
+
+	got := decodeJSON[LocateResponse](t, postJSON(t, ts, "/v1/locate", query))
+	if len(got.Results) != len(newStations) {
+		t.Fatalf("%d answers for %d points", len(got.Results), len(newStations))
+	}
+	net, err := core.NewUniform(newStations, 0.01, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrong := 0
+	for i, p := range newStations {
+		want := NoStationHeard
+		if idx, ok := net.HeardBy(p); ok {
+			want = idx
+		}
+		if got.Results[i].Station != want {
+			wrong++
+		}
+	}
+	if wrong > 0 {
+		t.Errorf("%d of %d answers on the re-created network disagree with its HeardBy — served by the deleted network's resolver", wrong, len(newStations))
+	}
+	if err := <-done; err != nil {
+		t.Errorf("in-flight locate on the deleted network: %v", err)
 	}
 }
 

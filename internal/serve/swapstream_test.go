@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/geom"
-	"repro/internal/resolve"
 	"repro/internal/workload"
 )
 
@@ -153,92 +152,6 @@ func TestStreamHotSwapConsistency(t *testing.T) {
 	}
 }
 
-// TestCacheEvictionLifecycle covers the resolver cache's eviction
-// rules directly: in-flight builds survive a capacity squeeze, failed
-// builds are retried, and invalidation drops only stale generations.
-func TestCacheEvictionLifecycle(t *testing.T) {
-	c := newResolverCache(1)
-
-	// An in-flight build must not be evicted while a second key churns
-	// the LRU past capacity.
-	started := make(chan struct{})
-	release := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	slowKey := cacheKey{name: "a", version: 1}
-	go func() {
-		defer wg.Done()
-		_, _ = c.get(slowKey, func() (resolve.Resolver, error) {
-			close(started)
-			<-release
-			return nil, nil
-		})
-	}()
-	<-started
-	for i := 0; i < 3; i++ {
-		if _, err := c.get(cacheKey{name: "b", version: uint64(i)}, func() (resolve.Resolver, error) {
-			return nil, nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if c.Len() < 2 {
-		t.Fatalf("in-flight build was evicted: cache len %d", c.Len())
-	}
-	close(release)
-	wg.Wait()
-
-	// Once complete, the over-cap survivors age out on the next insert.
-	if _, err := c.get(cacheKey{name: "c", version: 9}, func() (resolve.Resolver, error) {
-		return nil, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if c.Len() > 1 {
-		t.Fatalf("completed entries not evicted: cache len %d, cap 1", c.Len())
-	}
-
-	// A failed build is dropped so the next get retries it.
-	fails := 0
-	for i := 0; i < 2; i++ {
-		_, _ = c.get(cacheKey{name: "err", version: 1}, func() (resolve.Resolver, error) {
-			fails++
-			return nil, fmt.Errorf("boom")
-		})
-	}
-	if fails != 2 {
-		t.Fatalf("failed build cached: %d build calls, want 2", fails)
-	}
-
-	// invalidate removes only versions below the cutoff for the name.
-	c2 := newResolverCache(8)
-	for v := uint64(1); v <= 3; v++ {
-		if _, err := c2.get(cacheKey{name: "n", version: v}, func() (resolve.Resolver, error) {
-			return nil, nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := c2.get(cacheKey{name: "other", version: 1}, func() (resolve.Resolver, error) {
-		return nil, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	c2.invalidate("n", 3)
-	if got := c2.Len(); got != 2 {
-		t.Fatalf("after invalidate: cache len %d, want 2 (n@3 and other@1)", got)
-	}
-	builds := c2.Builds()
-	if _, err := c2.get(cacheKey{name: "n", version: 3}, func() (resolve.Resolver, error) {
-		return nil, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if c2.Builds() != builds {
-		t.Fatal("current generation was invalidated (rebuild observed)")
-	}
-}
-
 // TestHTTPEvictionRebuildsCurrentSnapshot drives eviction through the
 // HTTP surface across hot swaps: old generations are invalidated on
 // swap and never resurrect, and answers always follow the latest
@@ -265,7 +178,7 @@ func TestHTTPEvictionRebuildsCurrentSnapshot(t *testing.T) {
 			t.Fatalf("swap %d: station %d, want %d", v, got.Results[0].Station, want)
 		}
 	}
-	if got := srv.cache.Len(); got > 2 {
+	if got := srv.resolvers.Len(); got > 2 {
 		t.Fatalf("cache len %d exceeds cap 2 after swaps", got)
 	}
 }
