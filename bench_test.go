@@ -1,8 +1,7 @@
 package sinrdiag
 
 // Benchmark harness: one benchmark per figure and theorem of the
-// paper, as indexed in DESIGN.md and EXPERIMENTS.md. Run everything
-// with
+// paper. Run everything with
 //
 //	go test -bench=. -benchmem
 //

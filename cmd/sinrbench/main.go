@@ -1,7 +1,6 @@
 // Command sinrbench runs the full experiment suite of the
 // reproduction — every figure and theorem of the paper — and prints
-// one paper-vs-measured table per experiment (the tables recorded in
-// EXPERIMENTS.md).
+// one paper-vs-measured table per experiment.
 //
 // Usage:
 //
@@ -126,7 +125,7 @@ func parseSizes(flagName, s string, def []int) ([]int, error) {
 func run(trials int, only string, workers int, resolver, resolversOut string, hotSizes []int, hotQueries int, hotPathOut string,
 	dynSizes []int, dynEvents, dynQueries int, dynOut string, schedSizes []int, schedOut string) error {
 	failed, ran := 0, 0
-	for _, e := range exp.RegistrySched(trials, workers, resolver, resolversOut, hotSizes, hotQueries, hotPathOut,
+	for _, e := range exp.Registry(trials, workers, resolver, resolversOut, hotSizes, hotQueries, hotPathOut,
 		dynSizes, dynEvents, dynQueries, dynOut, schedSizes, schedOut) {
 		if only != "" && !strings.EqualFold(e.ID, only) {
 			continue

@@ -681,8 +681,8 @@ func verifyServed(cfg config, kind resolve.Kind, epochs map[uint64]*dynamic.Snap
 	return mismatches, nil
 }
 
-func registration(name string, stations []geom.Point, noise, beta float64) serve.NetworkRequest {
-	req := serve.NetworkRequest{Name: name, Noise: noise, Beta: beta}
+func registration(name string, stations []geom.Point, noise, beta float64) serve.NetworkSpec {
+	req := serve.NetworkSpec{Name: name, Noise: noise, Beta: beta}
 	req.Stations = make([]serve.SpecStation, len(stations))
 	for i, s := range stations {
 		req.Stations[i] = serve.SpecStation{X: s.X, Y: s.Y}
@@ -690,7 +690,7 @@ func registration(name string, stations []geom.Point, noise, beta float64) serve
 	return req
 }
 
-func register(client *http.Client, addr string, req serve.NetworkRequest) (serve.NetworkResponse, error) {
+func register(client *http.Client, addr string, req serve.NetworkSpec) (serve.NetworkResponse, error) {
 	var out serve.NetworkResponse
 	body, err := json.Marshal(req)
 	if err != nil {

@@ -38,10 +38,11 @@
 //
 // With -spec-dir the process also runs the reconcile controller
 // (internal/reconcile): the directory is listed every
-// -reconcile-interval, every *.json / *.yaml / *.yml file is parsed
-// as one declarative NetworkSpec, and the live registry is converged
-// to match — files appearing become networks, edits land as deltas or
-// rebuilds, removed files delete their networks. A network failing to
+// -reconcile-interval, every *.json file is parsed as one declarative
+// NetworkSpec (specs are JSON only: a *.yaml or *.yml file counts as
+// a spec error), and the live registry is converged to match — files
+// appearing become networks, edits land as deltas or rebuilds,
+// removed files delete their networks. A network failing to
 // build retries with exponential backoff up to -max-retries times,
 // then parks until its spec content changes. Controller state is
 // visible on /metrics (sinr_reconcile_* and per-network

@@ -31,7 +31,7 @@ var demoSpec []byte
 
 func main() {
 	// The spec directory is the entire desired state: one canonical
-	// NetworkSpec per .json/.yaml/.yml file. A real deployment points
+	// NetworkSpec per .json file. A real deployment points
 	// `sinrserve -spec-dir` at a checked-out config repo; here a temp
 	// dir seeded with the committed example spec plays that role.
 	dir, err := os.MkdirTemp("", "sinr-reconcile-")

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -161,6 +162,65 @@ func TestObservation22(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestObservation22ZoneInsideCell verifies Observation 2.2 on the
+// zone boundary, where it is tightest: every boundary sample of zone 0
+// lies strictly inside the Voronoi cell of s_0, i.e. is strictly
+// closer to s_0 than to any other station.
+func TestObservation22ZoneInsideCell(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	for trial := 0; trial < 8; trial++ {
+		sites := make([]geom.Point, 3+rng.Intn(6))
+		for i := range sites {
+			sites[i] = geom.Pt(rng.Float64()*8-4, rng.Float64()*8-4)
+		}
+		n := mustNet(t, sites, 0.01, 1.5+rng.Float64()*4)
+		if n.SharesLocation(0) {
+			continue
+		}
+		z, err := n.Zone(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts, err := z.SampleBoundary(64, 1e-8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range pts {
+			d0 := geom.Dist(sites[0], p)
+			for j := 1; j < len(sites); j++ {
+				if dj := geom.Dist(sites[j], p); dj <= d0 {
+					t.Fatalf("trial %d: boundary point %v of zone 0 is no closer to s_0 (%v) than to s_%d (%v)",
+						trial, p, d0, j, dj)
+				}
+			}
+		}
+	}
+}
+
+// TestVoronoiCrossingBoundsReception verifies the remark after
+// Corollary 3.5: along a line, the reception boundary crossing comes
+// no later than the Voronoi cell boundary crossing (the zone is inside
+// the cell).
+func TestVoronoiCrossingBoundsReception(t *testing.T) {
+	n := mustNet(t, []geom.Point{geom.Pt(0, 0), geom.Pt(4, 0)}, 0, 4)
+	// Along the x-axis from s0 toward s1: reception ends at
+	// mu_r = 4/(1+2) = 4/3; the Voronoi bisector is at x = 2.
+	z, err := n.Zone(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := z.RadialBoundary(0, 1e-10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(r-4.0/3) > 1e-6 {
+		t.Errorf("reception boundary at %v, want 4/3", r)
+	}
+	if r >= 2 {
+		t.Errorf("reception boundary %v not before the Voronoi bisector at 2", r)
 	}
 }
 

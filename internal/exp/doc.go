@@ -3,8 +3,7 @@
 // corresponding artifact (reception outcomes, convexity certificates,
 // fatness measurements, point-location structures and timings) and
 // emitting a formatted table recording paper-claim versus measured
-// outcome. cmd/sinrbench runs every experiment; EXPERIMENTS.md records
-// the output.
+// outcome. cmd/sinrbench runs every experiment and prints the tables.
 //
 // Map to the paper: E1-E4 regenerate Figures 1-5; E5/E6/E7 validate
 // Theorems 1/2/3; E8 measures the query-time scaling of the paper's

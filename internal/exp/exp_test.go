@@ -221,7 +221,8 @@ func TestCommunicationGraphExperiment(t *testing.T) {
 
 func TestRegistryIDsUnique(t *testing.T) {
 	seen := map[string]bool{}
-	reg := Registry(1)
+	reg := Registry(1, 0, "", "", DefaultHotPathSizes, DefaultHotPathQueries, "",
+		DefaultDynamicSizes, DefaultDynamicEvents, DefaultDynamicQueries, "", DefaultSchedSizes, "")
 	if len(reg) != 21 {
 		t.Fatalf("registry has %d experiments, want 21 (E1-E20 plus E10b)", len(reg))
 	}

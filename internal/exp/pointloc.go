@@ -216,21 +216,6 @@ type Experiment struct {
 	Run func() (*Table, error)
 }
 
-// Registry returns every experiment in paper order. trials scales the
-// randomized validations (use ~5 for quick runs, ~20 for full runs).
-// Experiments exercising the concurrency layer use
-// core.DefaultWorkers() workers; use RegistryWorkers to override.
-func Registry(trials int) []Experiment {
-	return RegistryWorkers(trials, 0)
-}
-
-// RegistryWorkers is Registry with an explicit worker count for the
-// concurrency-layer experiments (0 means core.DefaultWorkers(), 1
-// forces the serial paths).
-func RegistryWorkers(trials, workers int) []Experiment {
-	return RegistryResolvers(trials, workers, "", "")
-}
-
 // DefaultHotPathSizes is the network-size axis of the E18 hot-path
 // comparison: up to 1024 stations at constant density — the committed
 // BENCH_hotpath.json trajectory point is produced at these sizes.
@@ -241,41 +226,24 @@ var DefaultHotPathSizes = []int{16, 64, 256, 1024}
 // DefaultHotPathQueries is the per-workload query count of E18.
 const DefaultHotPathQueries = 4096
 
-// RegistryResolvers is RegistryWorkers with the resolver-axis knobs
-// of E17: resolver restricts the cross-backend comparison to one
-// backend ("" or "all" compares all four) and resolversOut, when
-// non-empty, is the path the BENCH_resolvers.json artifact is
-// written to. E18 runs with its default sizes and no artifact; use
-// RegistryHotPath to control it.
-func RegistryResolvers(trials, workers int, resolver, resolversOut string) []Experiment {
-	return RegistryHotPath(trials, workers, resolver, resolversOut, DefaultHotPathSizes, DefaultHotPathQueries, "")
-}
-
-// RegistryHotPath is RegistryResolvers with the E18 hot-path knobs:
-// the network-size axis, the per-workload query count and the path
-// the BENCH_hotpath.json artifact is written to (empty = no file).
-// E19 runs with its default churn axis and no artifact; use
-// RegistryDynamic to control it.
-func RegistryHotPath(trials, workers int, resolver, resolversOut string, hotSizes []int, hotQueries int, hotPathOut string) []Experiment {
-	return RegistryDynamic(trials, workers, resolver, resolversOut, hotSizes, hotQueries, hotPathOut,
-		DefaultDynamicSizes, DefaultDynamicEvents, DefaultDynamicQueries, "")
-}
-
-// RegistryDynamic is RegistryHotPath with the E19 churn knobs: the
-// network-size axis, the churn-trace length and correctness-probe
-// count per cell, and the path the BENCH_dynamic.json artifact is
-// written to (empty = no file). E20 runs with its default size axis
-// and no artifact; use RegistrySched to control it.
-func RegistryDynamic(trials, workers int, resolver, resolversOut string, hotSizes []int, hotQueries int, hotPathOut string,
-	dynSizes []int, dynEvents, dynQueries int, dynOut string) []Experiment {
-	return RegistrySched(trials, workers, resolver, resolversOut, hotSizes, hotQueries, hotPathOut,
-		dynSizes, dynEvents, dynQueries, dynOut, DefaultSchedSizes, "")
-}
-
-// RegistrySched is RegistryDynamic with the E20 scheduling knobs: the
-// link-count axis and the path the BENCH_sched.json artifact is
-// written to (empty = no file).
-func RegistrySched(trials, workers int, resolver, resolversOut string, hotSizes []int, hotQueries int, hotPathOut string,
+// Registry returns every experiment in paper order. trials scales the
+// randomized validations (use ~5 for quick runs, ~20 for full runs).
+// workers is the worker count of the concurrency-layer experiments (0
+// means core.DefaultWorkers(), 1 forces the serial paths). The other
+// arguments are the axes and artifact paths of E17-E20; an empty path
+// writes no file:
+//
+//   - E17: resolver restricts the cross-backend comparison to one
+//     backend ("" or "all" compares all four); resolversOut is the
+//     BENCH_resolvers.json path.
+//   - E18: hotSizes is the network-size axis, hotQueries the
+//     per-workload query count, hotPathOut the BENCH_hotpath.json path.
+//   - E19: dynSizes is the network-size axis, dynEvents the churn-trace
+//     length, dynQueries the correctness-probe count per cell, dynOut
+//     the BENCH_dynamic.json path.
+//   - E20: schedSizes is the link-count axis, schedOut the
+//     BENCH_sched.json path.
+func Registry(trials, workers int, resolver, resolversOut string, hotSizes []int, hotQueries int, hotPathOut string,
 	dynSizes []int, dynEvents, dynQueries int, dynOut string, schedSizes []int, schedOut string) []Experiment {
 	return []Experiment{
 		{"E1", Fig1Reception},
@@ -300,18 +268,4 @@ func RegistrySched(trials, workers int, resolver, resolversOut string, hotSizes 
 		{"E19", func() (*Table, error) { return DynamicChurnComparison(dynSizes, dynEvents, dynQueries, dynOut) }},
 		{"E20", func() (*Table, error) { return SchedComparison(schedSizes, schedOut) }},
 	}
-}
-
-// AllExperiments runs every experiment in order.
-func AllExperiments(trials int) ([]*Table, error) {
-	reg := Registry(trials)
-	out := make([]*Table, 0, len(reg))
-	for _, e := range reg {
-		tbl, err := e.Run()
-		if err != nil {
-			return out, err
-		}
-		out = append(out, tbl)
-	}
-	return out, nil
 }

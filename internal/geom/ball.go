@@ -24,16 +24,6 @@ func NewBall(c Point, r float64) Ball {
 // Contains reports whether p is inside the closed ball.
 func (b Ball) Contains(p Point) bool { return Dist2(b.C, p) <= b.R*b.R }
 
-// ContainsBall reports whether the ball fully contains other.
-func (b Ball) ContainsBall(other Ball) bool {
-	return Dist(b.C, other.C)+other.R <= b.R+Eps
-}
-
-// Intersects reports whether the two closed balls share a point.
-func (b Ball) Intersects(other Ball) bool {
-	return Dist(b.C, other.C) <= b.R+other.R+Eps
-}
-
 // Area returns the area pi*R^2.
 func (b Ball) Area() float64 { return math.Pi * b.R * b.R }
 
@@ -106,22 +96,6 @@ func BoxAround(b Ball) Box {
 	}
 }
 
-// BoundingBox returns the smallest box containing all points. The
-// second return value is false for an empty slice.
-func BoundingBox(pts []Point) (Box, bool) {
-	if len(pts) == 0 {
-		return Box{}, false
-	}
-	box := Box{Min: pts[0], Max: pts[0]}
-	for _, p := range pts[1:] {
-		box.Min.X = math.Min(box.Min.X, p.X)
-		box.Min.Y = math.Min(box.Min.Y, p.Y)
-		box.Max.X = math.Max(box.Max.X, p.X)
-		box.Max.Y = math.Max(box.Max.Y, p.Y)
-	}
-	return box, true
-}
-
 // Contains reports whether p lies in the closed box.
 func (b Box) Contains(p Point) bool {
 	return p.X >= b.Min.X && p.X <= b.Max.X && p.Y >= b.Min.Y && p.Y <= b.Max.Y
@@ -144,28 +118,6 @@ func (b Box) Expand(margin float64) Box {
 	return Box{
 		Min: Point{b.Min.X - margin, b.Min.Y - margin},
 		Max: Point{b.Max.X + margin, b.Max.Y + margin},
-	}
-}
-
-// Corners returns the four corners in counterclockwise order starting
-// from Min.
-func (b Box) Corners() [4]Point {
-	return [4]Point{
-		b.Min,
-		{b.Max.X, b.Min.Y},
-		b.Max,
-		{b.Min.X, b.Max.Y},
-	}
-}
-
-// Edges returns the four boundary segments in counterclockwise order.
-func (b Box) Edges() [4]Segment {
-	c := b.Corners()
-	return [4]Segment{
-		{c[0], c[1]},
-		{c[1], c[2]},
-		{c[2], c[3]},
-		{c[3], c[0]},
 	}
 }
 

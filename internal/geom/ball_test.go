@@ -31,24 +31,6 @@ func TestNewBallClampsNegativeRadius(t *testing.T) {
 	}
 }
 
-func TestBallContainment(t *testing.T) {
-	big := NewBall(Origin, 5)
-	small := NewBall(Pt(1, 0), 2)
-	if !big.ContainsBall(small) {
-		t.Error("big should contain small")
-	}
-	if small.ContainsBall(big) {
-		t.Error("small should not contain big")
-	}
-	if !big.Intersects(small) {
-		t.Error("nested balls intersect")
-	}
-	far := NewBall(Pt(100, 0), 1)
-	if big.Intersects(far) {
-		t.Error("distant balls should not intersect")
-	}
-}
-
 func TestBallAreaPerimeter(t *testing.T) {
 	b := NewBall(Origin, 2)
 	if got := b.Area(); !almostEqual(got, 4*math.Pi, 1e-12) {
@@ -129,39 +111,9 @@ func TestBoxBasics(t *testing.T) {
 	}
 }
 
-func TestBoundingBox(t *testing.T) {
-	if _, ok := BoundingBox(nil); ok {
-		t.Error("empty slice should report !ok")
-	}
-	box, ok := BoundingBox([]Point{Pt(1, 2), Pt(-3, 7), Pt(0, 0)})
-	if !ok {
-		t.Fatal("expected ok")
-	}
-	if box.Min != Pt(-3, 0) || box.Max != Pt(1, 7) {
-		t.Errorf("box = %v", box)
-	}
-}
-
 func TestBoxAround(t *testing.T) {
 	box := BoxAround(NewBall(Pt(1, 2), 3))
 	if box.Min != Pt(-2, -1) || box.Max != Pt(4, 5) {
 		t.Errorf("box = %v", box)
-	}
-}
-
-func TestBoxCornersAndEdges(t *testing.T) {
-	b := NewBox(Pt(0, 0), Pt(2, 1))
-	corners := b.Corners()
-	want := [4]Point{Pt(0, 0), Pt(2, 0), Pt(2, 1), Pt(0, 1)}
-	if corners != want {
-		t.Errorf("corners = %v", corners)
-	}
-	edges := b.Edges()
-	var perim float64
-	for _, e := range edges {
-		perim += e.Length()
-	}
-	if !almostEqual(perim, 6, 1e-12) {
-		t.Errorf("perimeter = %v, want 6", perim)
 	}
 }

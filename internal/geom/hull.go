@@ -1,9 +1,6 @@
 package geom
 
-import (
-	"math"
-	"sort"
-)
+import "sort"
 
 // ConvexHull returns the convex hull of pts in counterclockwise order
 // using Andrew's monotone chain algorithm, O(n log n). Collinear points
@@ -86,23 +83,6 @@ func (pg Polygon) Perimeter() float64 {
 	return s
 }
 
-// Centroid returns the area centroid of the polygon (falling back to
-// the vertex mean for degenerate polygons).
-func (pg Polygon) Centroid() Point {
-	a := pg.Area()
-	if math.Abs(a) < Eps {
-		return Centroid(pg)
-	}
-	var cx, cy float64
-	for i, p := range pg {
-		q := pg[(i+1)%len(pg)]
-		w := p.Cross(q)
-		cx += (p.X + q.X) * w
-		cy += (p.Y + q.Y) * w
-	}
-	return Point{cx / (6 * a), cy / (6 * a)}
-}
-
 // IsConvex reports whether the polygon is convex (all turns the same
 // orientation, collinear runs allowed).
 func (pg Polygon) IsConvex() bool {
@@ -148,49 +128,4 @@ func (pg Polygon) Contains(p Point) bool {
 		}
 	}
 	return inside
-}
-
-// HalfPlane is the closed half plane {p : <p, N> <= C} with outward
-// normal N.
-type HalfPlane struct {
-	N Point
-	C float64
-}
-
-// HalfPlaneOf returns the half plane of points at least as close to a
-// as to b, i.e. the side of the separation line of a and b containing
-// a. This is the building block of Voronoi cells.
-func HalfPlaneOf(a, b Point) HalfPlane {
-	n := b.Sub(a)
-	return HalfPlane{N: n, C: n.Dot(Midpoint(a, b))}
-}
-
-// Contains reports whether p satisfies the half-plane inequality.
-func (h HalfPlane) Contains(p Point) bool { return h.N.Dot(p) <= h.C+Eps*(1+math.Abs(h.C)) }
-
-// ClipPolygon clips a convex polygon by the half plane using the
-// Sutherland-Hodgman step, returning the (possibly empty) clipped
-// polygon. The input must be convex and counterclockwise; the output
-// preserves both properties.
-func ClipPolygon(pg Polygon, h HalfPlane) Polygon {
-	if len(pg) == 0 {
-		return nil
-	}
-	val := func(p Point) float64 { return h.N.Dot(p) - h.C }
-	out := make(Polygon, 0, len(pg)+1)
-	for i, cur := range pg {
-		next := pg[(i+1)%len(pg)]
-		vc, vn := val(cur), val(next)
-		if vc <= 0 {
-			out = append(out, cur)
-		}
-		if (vc < 0 && vn > 0) || (vc > 0 && vn < 0) {
-			t := vc / (vc - vn)
-			out = append(out, Lerp(cur, next, t))
-		}
-	}
-	if len(out) < 3 {
-		return nil
-	}
-	return out
 }

@@ -1,7 +1,6 @@
 package geom
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -96,13 +95,6 @@ func TestPolygonPerimeter(t *testing.T) {
 	}
 }
 
-func TestPolygonCentroid(t *testing.T) {
-	sq := Polygon{Pt(0, 0), Pt(2, 0), Pt(2, 2), Pt(0, 2)}
-	if got := sq.Centroid(); !ApproxEqual(got, Pt(1, 1), 1e-12) {
-		t.Errorf("Centroid = %v, want (1,1)", got)
-	}
-}
-
 func TestPolygonIsConvex(t *testing.T) {
 	convex := Polygon{Pt(0, 0), Pt(2, 0), Pt(2, 2), Pt(0, 2)}
 	if !convex.IsConvex() {
@@ -131,74 +123,5 @@ func TestPolygonContains(t *testing.T) {
 		if got := pg.Contains(tc.p); got != tc.want {
 			t.Errorf("Contains(%v) = %v, want %v", tc.p, got, tc.want)
 		}
-	}
-}
-
-func TestHalfPlaneOf(t *testing.T) {
-	a, b := Pt(0, 0), Pt(2, 0)
-	h := HalfPlaneOf(a, b)
-	if !h.Contains(a) {
-		t.Error("half plane must contain its defining site a")
-	}
-	if h.Contains(b) && !h.Contains(Midpoint(a, b)) {
-		t.Error("inconsistent half plane")
-	}
-	if !h.Contains(Midpoint(a, b)) {
-		t.Error("boundary midpoint must be contained (closed half plane)")
-	}
-	if h.Contains(Pt(1.5, 0)) {
-		t.Error("points nearer b must be excluded")
-	}
-}
-
-func TestClipPolygon(t *testing.T) {
-	sq := Polygon{Pt(0, 0), Pt(4, 0), Pt(4, 4), Pt(0, 4)}
-	// Clip by half plane x <= 2.
-	h := HalfPlane{N: Pt(1, 0), C: 2}
-	clipped := ClipPolygon(sq, h)
-	if got := clipped.Area(); !almostEqual(got, 8, 1e-9) {
-		t.Fatalf("clipped area = %v, want 8", got)
-	}
-	if !clipped.IsConvex() {
-		t.Error("clip must preserve convexity")
-	}
-	// Clip away everything.
-	hAll := HalfPlane{N: Pt(1, 0), C: -1}
-	if got := ClipPolygon(sq, hAll); got != nil {
-		t.Errorf("expected empty clip, got %v", got)
-	}
-	// Clip that removes nothing.
-	hNone := HalfPlane{N: Pt(1, 0), C: 100}
-	if got := ClipPolygon(sq, hNone).Area(); !almostEqual(got, 16, 1e-9) {
-		t.Errorf("no-op clip area = %v", got)
-	}
-	// Empty input.
-	if got := ClipPolygon(nil, h); got != nil {
-		t.Errorf("nil polygon clip = %v", got)
-	}
-}
-
-func TestClipPolygonSequence(t *testing.T) {
-	// Clipping a big square by the half planes of a ball approximation
-	// should shrink the area monotonically toward the ball area.
-	pg := Polygon{Pt(-10, -10), Pt(10, -10), Pt(10, 10), Pt(-10, 10)}
-	prev := pg.Area()
-	for k := 0; k < 16; k++ {
-		theta := 2 * math.Pi * float64(k) / 16
-		n := Pt(math.Cos(theta), math.Sin(theta))
-		pg = ClipPolygon(pg, HalfPlane{N: n, C: 1})
-		if pg == nil {
-			t.Fatal("polygon vanished")
-		}
-		a := pg.Area()
-		if a > prev+1e-9 {
-			t.Fatalf("area increased: %v -> %v", prev, a)
-		}
-		prev = a
-	}
-	// The 16-gon circumscribing radius-1 ball has area 16*tan(pi/16).
-	want := 16 * math.Tan(math.Pi/16)
-	if !almostEqual(prev, want, 1e-6) {
-		t.Errorf("final area = %v, want %v", prev, want)
 	}
 }

@@ -111,16 +111,3 @@ func Orientation(a, b, c Point) int {
 		return 0
 	}
 }
-
-// Centroid returns the arithmetic mean of the given points. It returns
-// the origin for an empty slice.
-func Centroid(pts []Point) Point {
-	if len(pts) == 0 {
-		return Point{}
-	}
-	var c Point
-	for _, p := range pts {
-		c = c.Add(p)
-	}
-	return c.Scale(1 / float64(len(pts)))
-}

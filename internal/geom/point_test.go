@@ -139,16 +139,6 @@ func TestOrientation(t *testing.T) {
 	}
 }
 
-func TestCentroid(t *testing.T) {
-	if got := Centroid(nil); got != (Point{}) {
-		t.Errorf("Centroid(nil) = %v, want origin", got)
-	}
-	got := Centroid([]Point{Pt(0, 0), Pt(2, 0), Pt(1, 3)})
-	if !ApproxEqual(got, Pt(1, 1), 1e-12) {
-		t.Errorf("Centroid = %v, want (1,1)", got)
-	}
-}
-
 func TestPerpIsOrthogonalProperty(t *testing.T) {
 	f := func(x, y float64) bool {
 		if math.IsNaN(x) || math.IsNaN(y) || math.IsInf(x, 0) || math.IsInf(y, 0) {

@@ -13,20 +13,11 @@ type Segment struct {
 // Seg is shorthand for Segment{a, b}.
 func Seg(a, b Point) Segment { return Segment{A: a, B: b} }
 
-// Length returns the Euclidean length of the segment.
-func (s Segment) Length() float64 { return Dist(s.A, s.B) }
-
 // Dir returns the (non-normalized) direction vector B - A.
 func (s Segment) Dir() Point { return s.B.Sub(s.A) }
 
 // At returns the point A + t*(B-A). At(0) == A, At(1) == B.
 func (s Segment) At(t float64) Point { return Lerp(s.A, s.B, t) }
-
-// Midpoint returns the midpoint of the segment.
-func (s Segment) Midpoint() Point { return Midpoint(s.A, s.B) }
-
-// Reverse returns the segment with endpoints swapped.
-func (s Segment) Reverse() Segment { return Segment{A: s.B, B: s.A} }
 
 // String implements fmt.Stringer.
 func (s Segment) String() string { return fmt.Sprintf("[%v -> %v]", s.A, s.B) }
@@ -59,9 +50,6 @@ type Line struct {
 	D Point // direction vector
 }
 
-// LineThrough returns the line through a and b.
-func LineThrough(a, b Point) Line { return Line{P: a, D: b.Sub(a)} }
-
 // LineOf returns the supporting line of segment s.
 func (s Segment) LineOf() Line { return Line{P: s.A, D: s.Dir()} }
 
@@ -76,15 +64,6 @@ func (l Line) Project(p Point) float64 {
 		return 0
 	}
 	return p.Sub(l.P).Dot(l.D) / den
-}
-
-// DistTo returns the distance from p to the line.
-func (l Line) DistTo(p Point) float64 {
-	den := l.D.Norm()
-	if den == 0 {
-		return Dist(l.P, p)
-	}
-	return math.Abs(l.D.Cross(p.Sub(l.P))) / den
 }
 
 // SeparationLine returns the perpendicular bisector of p1 and p2: the
@@ -108,16 +87,4 @@ func IntersectLines(a, b Line) (t, u float64, ok bool) {
 	t = w.Cross(b.D) / den
 	u = w.Cross(a.D) / den
 	return t, u, true
-}
-
-// IntersectSegments returns the intersection point of two segments and
-// ok=false when they do not intersect (parallel or out of range).
-// Collinear overlapping segments report no intersection; callers that
-// need overlap handling should test collinearity separately.
-func IntersectSegments(s1, s2 Segment) (Point, bool) {
-	t, u, ok := IntersectLines(s1.LineOf(), s2.LineOf())
-	if !ok || t < -Eps || t > 1+Eps || u < -Eps || u > 1+Eps {
-		return Point{}, false
-	}
-	return s1.At(t), true
 }

@@ -6,17 +6,8 @@ import (
 
 func TestSegmentBasics(t *testing.T) {
 	s := Seg(Pt(0, 0), Pt(3, 4))
-	if got := s.Length(); !almostEqual(got, 5, 1e-12) {
-		t.Errorf("Length = %v, want 5", got)
-	}
 	if got := s.At(0.5); !ApproxEqual(got, Pt(1.5, 2), 1e-12) {
 		t.Errorf("At(0.5) = %v", got)
-	}
-	if got := s.Midpoint(); !ApproxEqual(got, Pt(1.5, 2), 1e-12) {
-		t.Errorf("Midpoint = %v", got)
-	}
-	if got := s.Reverse(); got.A != s.B || got.B != s.A {
-		t.Errorf("Reverse = %v", got)
 	}
 }
 
@@ -60,13 +51,13 @@ func TestSegmentContains(t *testing.T) {
 }
 
 func TestLineProjectAndDist(t *testing.T) {
-	l := LineThrough(Pt(0, 1), Pt(2, 1)) // horizontal line y = 1
-	if got := l.DistTo(Pt(5, 4)); !almostEqual(got, 3, 1e-12) {
-		t.Errorf("DistTo = %v, want 3", got)
-	}
+	l := Seg(Pt(0, 1), Pt(2, 1)).LineOf() // horizontal line y = 1
 	tproj := l.Project(Pt(5, 4))
 	if got := l.At(tproj); !ApproxEqual(got, Pt(5, 1), 1e-12) {
 		t.Errorf("projection = %v, want (5,1)", got)
+	}
+	if got := Dist(l.At(tproj), Pt(5, 4)); !almostEqual(got, 3, 1e-12) {
+		t.Errorf("distance to line = %v, want 3", got)
 	}
 }
 
@@ -83,8 +74,8 @@ func TestSeparationLine(t *testing.T) {
 }
 
 func TestIntersectLines(t *testing.T) {
-	a := LineThrough(Pt(0, 0), Pt(1, 1))
-	b := LineThrough(Pt(0, 2), Pt(1, 1)) // crosses at (1,1)
+	a := Seg(Pt(0, 0), Pt(1, 1)).LineOf()
+	b := Seg(Pt(0, 2), Pt(1, 1)).LineOf() // crosses at (1,1)
 	tt, _, ok := IntersectLines(a, b)
 	if !ok {
 		t.Fatal("expected intersection")
@@ -94,35 +85,10 @@ func TestIntersectLines(t *testing.T) {
 	}
 
 	// Parallel lines.
-	c := LineThrough(Pt(0, 0), Pt(1, 0))
-	d := LineThrough(Pt(0, 1), Pt(1, 1))
+	c := Seg(Pt(0, 0), Pt(1, 0)).LineOf()
+	d := Seg(Pt(0, 1), Pt(1, 1)).LineOf()
 	if _, _, ok := IntersectLines(c, d); ok {
 		t.Error("parallel lines should not intersect")
-	}
-}
-
-func TestIntersectSegments(t *testing.T) {
-	tests := []struct {
-		name   string
-		s1, s2 Segment
-		want   Point
-		ok     bool
-	}{
-		{"cross", Seg(Pt(0, 0), Pt(2, 2)), Seg(Pt(0, 2), Pt(2, 0)), Pt(1, 1), true},
-		{"touchEndpoint", Seg(Pt(0, 0), Pt(1, 1)), Seg(Pt(1, 1), Pt(2, 0)), Pt(1, 1), true},
-		{"miss", Seg(Pt(0, 0), Pt(1, 0)), Seg(Pt(0, 1), Pt(1, 1)), Point{}, false},
-		{"linesCrossOutside", Seg(Pt(0, 0), Pt(1, 1)), Seg(Pt(3, 0), Pt(4, -5)), Point{}, false},
-	}
-	for _, tc := range tests {
-		t.Run(tc.name, func(t *testing.T) {
-			got, ok := IntersectSegments(tc.s1, tc.s2)
-			if ok != tc.ok {
-				t.Fatalf("ok = %v, want %v", ok, tc.ok)
-			}
-			if ok && !ApproxEqual(got, tc.want, 1e-9) {
-				t.Fatalf("point = %v, want %v", got, tc.want)
-			}
-		})
 	}
 }
 

@@ -19,9 +19,6 @@ type Transform struct {
 	tx, ty float64 // translation
 }
 
-// Identity returns the identity transform.
-func Identity() Transform { return Transform{a: 1} }
-
 // Translation returns the transform p -> p + d.
 func Translation(d Point) Transform { return Transform{a: 1, tx: d.X, ty: d.Y} }
 
@@ -73,34 +70,6 @@ func (t Transform) Compose(u Transform) Transform {
 		tx: t.a*u.tx - t.b*u.ty + t.tx,
 		ty: t.b*u.tx + t.a*u.ty + t.ty,
 	}
-}
-
-// Inverse returns the inverse transform. The second return value is
-// false when the transform is degenerate (sigma == 0).
-func (t Transform) Inverse() (Transform, bool) {
-	s2 := t.a*t.a + t.b*t.b
-	if s2 == 0 {
-		return Transform{}, false
-	}
-	ia, ib := t.a/s2, -t.b/s2
-	return Transform{
-		a:  ia,
-		b:  ib,
-		tx: -(ia*t.tx - ib*t.ty),
-		ty: -(ib*t.tx + ia*t.ty),
-	}, true
-}
-
-// CanonicalFrame returns the similarity transform that maps p0 to the
-// origin and p1 onto the positive x-axis at distance dist(p0, p1).
-// This is the normalization step used repeatedly in the paper's proofs
-// ("we may assume s0 = (0,0) and p = (-1,0)", etc.).
-func CanonicalFrame(p0, p1 Point) (Transform, bool) {
-	d := p1.Sub(p0)
-	if d.Norm() == 0 {
-		return Transform{}, false
-	}
-	return Rotation(-d.Angle()).Compose(Translation(p0.Neg())), true
 }
 
 // String implements fmt.Stringer.

@@ -6,11 +6,22 @@ import (
 	"testing/quick"
 )
 
+// TestTransformIdentity checks that every constructor at its neutral
+// parameter is the identity map.
 func TestTransformIdentity(t *testing.T) {
-	id := Identity()
-	for _, p := range []Point{Origin, Pt(1, 2), Pt(-3, 0.5)} {
-		if got := id.Apply(p); !ApproxEqual(got, p, 1e-15) {
-			t.Errorf("Identity(%v) = %v", p, got)
+	for _, tc := range []struct {
+		name string
+		id   Transform
+	}{
+		{"Translation(0)", Translation(Origin)},
+		{"Rotation(0)", Rotation(0)},
+		{"Scaling(1)", Scaling(1)},
+		{"Similarity(0, 1, 0)", Similarity(0, 1, Origin)},
+	} {
+		for _, p := range []Point{Origin, Pt(1, 2), Pt(-3, 0.5)} {
+			if got := tc.id.Apply(p); !ApproxEqual(got, p, 1e-15) {
+				t.Errorf("%s applied to %v = %v", tc.name, p, got)
+			}
 		}
 	}
 }
@@ -77,43 +88,6 @@ func TestComposeOrder(t *testing.T) {
 	composed2 := rot.Compose(tr) // translate then rotate
 	if got := composed2.Apply(Pt(1, 0)); !ApproxEqual(got, Pt(0, 2), 1e-12) {
 		t.Errorf("got %v, want (0,2)", got)
-	}
-}
-
-func TestInverse(t *testing.T) {
-	f := Similarity(1.1, 0.5, Pt(-2, 7))
-	inv, ok := f.Inverse()
-	if !ok {
-		t.Fatal("expected invertible")
-	}
-	for _, p := range []Point{Origin, Pt(1, 2), Pt(-5, 3)} {
-		if got := inv.Apply(f.Apply(p)); !ApproxEqual(got, p, 1e-9) {
-			t.Errorf("inv(f(%v)) = %v", p, got)
-		}
-	}
-	if _, ok := Scaling(0).Inverse(); ok {
-		t.Error("degenerate transform must not invert")
-	}
-}
-
-func TestCanonicalFrame(t *testing.T) {
-	p0, p1 := Pt(3, 4), Pt(6, 8)
-	f, ok := CanonicalFrame(p0, p1)
-	if !ok {
-		t.Fatal("expected ok")
-	}
-	if got := f.Apply(p0); !ApproxEqual(got, Origin, 1e-9) {
-		t.Errorf("f(p0) = %v, want origin", got)
-	}
-	got := f.Apply(p1)
-	if !almostEqual(got.Y, 0, 1e-9) || got.X <= 0 {
-		t.Errorf("f(p1) = %v, want on positive x-axis", got)
-	}
-	if !almostEqual(got.X, Dist(p0, p1), 1e-9) {
-		t.Errorf("f(p1).X = %v, want %v", got.X, Dist(p0, p1))
-	}
-	if _, ok := CanonicalFrame(p0, p0); ok {
-		t.Error("coincident points must fail")
 	}
 }
 

@@ -164,143 +164,3 @@ func (t *Tree) searchMapped(ni int, q geom.Point, remap func(int) (int, bool), b
 		t.searchMapped(far, q, remap, best, bestD2)
 	}
 }
-
-// NearestK returns the indices of the k points closest to q in
-// ascending distance order (fewer if the tree holds fewer points).
-// Exact distance ties are broken toward the lowest original index,
-// both for membership in the k-set and for the output order, matching
-// Nearest's deterministic convention.
-func (t *Tree) NearestK(q geom.Point, k int) []int {
-	if t == nil || t.root < 0 || k <= 0 {
-		return nil
-	}
-	h := &maxHeap{}
-	t.searchK(t.root, q, k, h)
-	out := make([]int, len(h.items))
-	for i := len(h.items) - 1; i >= 0; i-- {
-		out[i] = h.pop().idx
-	}
-	return out
-}
-
-func (t *Tree) searchK(ni int, q geom.Point, k int, h *maxHeap) {
-	n := &t.nodes[ni]
-	d2 := geom.Dist2(n.p, q)
-	it := heapItem{idx: n.idx, d2: d2}
-	if len(h.items) < k {
-		h.push(it)
-	} else if it.less(h.items[0]) {
-		h.pop()
-		h.push(it)
-	}
-	var delta float64
-	if n.axis == 0 {
-		delta = q.X - n.p.X
-	} else {
-		delta = q.Y - n.p.Y
-	}
-	near, far := n.left, n.right
-	if delta > 0 {
-		near, far = n.right, n.left
-	}
-	if near >= 0 {
-		t.searchK(near, q, k, h)
-	}
-	// <= so equal-distance points with lower indices on the far side
-	// can still displace the current worst tie.
-	if far >= 0 && (len(h.items) < k || delta*delta <= h.items[0].d2) {
-		t.searchK(far, q, k, h)
-	}
-}
-
-// InRange returns the indices of all points within radius r of q.
-func (t *Tree) InRange(q geom.Point, r float64) []int {
-	if t == nil || t.root < 0 || r < 0 {
-		return nil
-	}
-	var out []int
-	t.searchRange(t.root, q, r*r, &out)
-	return out
-}
-
-func (t *Tree) searchRange(ni int, q geom.Point, r2 float64, out *[]int) {
-	n := &t.nodes[ni]
-	if geom.Dist2(n.p, q) <= r2 {
-		*out = append(*out, n.idx)
-	}
-	var delta float64
-	if n.axis == 0 {
-		delta = q.X - n.p.X
-	} else {
-		delta = q.Y - n.p.Y
-	}
-	near, far := n.left, n.right
-	if delta > 0 {
-		near, far = n.right, n.left
-	}
-	if near >= 0 {
-		t.searchRange(near, q, r2, out)
-	}
-	if far >= 0 && delta*delta <= r2 {
-		t.searchRange(far, q, r2, out)
-	}
-}
-
-// heapItem pairs an original index with its squared distance.
-type heapItem struct {
-	idx int
-	d2  float64
-}
-
-// less orders items lexicographically on (d2, idx): among equal
-// distances the lower index counts as closer, which is what makes the
-// k-set and its output order deterministic.
-func (a heapItem) less(b heapItem) bool {
-	if a.d2 != b.d2 {
-		return a.d2 < b.d2
-	}
-	return a.idx < b.idx
-}
-
-// maxHeap is a small hand-rolled max-heap on (d2, idx) order, used by
-// NearestK (container/heap would allocate an interface per op).
-type maxHeap struct {
-	items []heapItem
-}
-
-func (h *maxHeap) push(it heapItem) {
-	h.items = append(h.items, it)
-	i := len(h.items) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.items[parent].less(h.items[i]) {
-			break
-		}
-		h.items[parent], h.items[i] = h.items[i], h.items[parent]
-		i = parent
-	}
-}
-
-func (h *maxHeap) pop() heapItem {
-	top := h.items[0]
-	last := len(h.items) - 1
-	h.items[0] = h.items[last]
-	h.items = h.items[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		largest := i
-		if l < last && h.items[largest].less(h.items[l]) {
-			largest = l
-		}
-		if r < last && h.items[largest].less(h.items[r]) {
-			largest = r
-		}
-		if largest == i {
-			break
-		}
-		h.items[i], h.items[largest] = h.items[largest], h.items[i]
-		i = largest
-	}
-	return top
-}

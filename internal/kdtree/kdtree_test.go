@@ -3,7 +3,6 @@ package kdtree
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"repro/internal/geom"
@@ -69,98 +68,12 @@ func TestNearestExactPointQuery(t *testing.T) {
 	}
 }
 
-func TestNearestK(t *testing.T) {
-	pts := []geom.Point{
-		geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(2, 0), geom.Pt(3, 0), geom.Pt(10, 0),
-	}
-	tree := New(pts)
-	got := tree.NearestK(geom.Pt(0.1, 0), 3)
-	want := []int{0, 1, 2}
-	if len(got) != 3 {
-		t.Fatalf("got %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-	// k larger than the point count returns all, still sorted.
-	all := tree.NearestK(geom.Pt(0, 0), 10)
-	if len(all) != len(pts) {
-		t.Fatalf("got %d results", len(all))
-	}
-	for i := 1; i < len(all); i++ {
-		if geom.Dist(pts[all[i-1]], geom.Pt(0, 0)) > geom.Dist(pts[all[i]], geom.Pt(0, 0)) {
-			t.Fatal("results not sorted by distance")
-		}
-	}
-	if got := tree.NearestK(geom.Pt(0, 0), 0); got != nil {
-		t.Errorf("k=0 should return nil, got %v", got)
-	}
-}
-
-func TestNearestKMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	pts := make([]geom.Point, 100)
-	for i := range pts {
-		pts[i] = geom.Pt(rng.Float64()*10, rng.Float64()*10)
-	}
-	tree := New(pts)
-	for trial := 0; trial < 20; trial++ {
-		q := geom.Pt(rng.Float64()*10, rng.Float64()*10)
-		k := 1 + rng.Intn(10)
-		got := tree.NearestK(q, k)
-		// Brute force: sort all indices by distance.
-		idxs := make([]int, len(pts))
-		for i := range idxs {
-			idxs[i] = i
-		}
-		sort.Slice(idxs, func(a, b int) bool {
-			return geom.Dist2(pts[idxs[a]], q) < geom.Dist2(pts[idxs[b]], q)
-		})
-		for i := 0; i < k; i++ {
-			if geom.Dist2(pts[got[i]], q) != geom.Dist2(pts[idxs[i]], q) {
-				t.Fatalf("trial %d: k=%d position %d: got idx %d (d2=%v), want idx %d (d2=%v)",
-					trial, k, i, got[i], geom.Dist2(pts[got[i]], q), idxs[i], geom.Dist2(pts[idxs[i]], q))
-			}
-		}
-	}
-}
-
-func TestInRange(t *testing.T) {
-	pts := []geom.Point{
-		geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(0, 2), geom.Pt(5, 5),
-	}
-	tree := New(pts)
-	got := tree.InRange(geom.Pt(0, 0), 2)
-	sort.Ints(got)
-	want := []int{0, 1, 2}
-	if len(got) != len(want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-	if got := tree.InRange(geom.Pt(0, 0), -1); got != nil {
-		t.Errorf("negative radius should return nil, got %v", got)
-	}
-	if got := tree.InRange(geom.Pt(100, 100), 1); len(got) != 0 {
-		t.Errorf("far query should return empty, got %v", got)
-	}
-}
-
 func TestDuplicatePoints(t *testing.T) {
 	pts := []geom.Point{geom.Pt(1, 1), geom.Pt(1, 1), geom.Pt(2, 2)}
 	tree := New(pts)
 	idx, d, ok := tree.Nearest(geom.Pt(1, 1))
 	if !ok || d != 0 || idx != 0 {
 		t.Errorf("idx=%d d=%v ok=%v, want lowest-index duplicate 0", idx, d, ok)
-	}
-	got := tree.InRange(geom.Pt(1, 1), 0.5)
-	if len(got) != 2 {
-		t.Errorf("InRange = %v, want both duplicates", got)
 	}
 }
 
@@ -199,42 +112,6 @@ func TestNearestTieBreakSymmetric(t *testing.T) {
 			if gotIdx != wantIdx || math.Abs(gotD*gotD-wantD2) > 1e-12 {
 				t.Errorf("perm %v query %v: Nearest = %d (d=%v), want %d",
 					perm, q, gotIdx, gotD, wantIdx)
-			}
-		}
-	}
-}
-
-// TestNearestKTieBreak checks that NearestK's k-set membership and
-// output order are deterministic under exact ties: ascending (d2, idx).
-func TestNearestKTieBreak(t *testing.T) {
-	// Four corners of a square (all equidistant from the center) plus
-	// duplicates and one far point.
-	pts := []geom.Point{
-		geom.Pt(1, 1), geom.Pt(-1, 1), geom.Pt(1, -1), geom.Pt(-1, -1),
-		geom.Pt(1, 1), geom.Pt(-1, -1), geom.Pt(9, 9),
-	}
-	tree := New(pts)
-	q := geom.Pt(0, 0)
-	for k := 1; k <= len(pts); k++ {
-		got := tree.NearestK(q, k)
-		// Reference order: sort indices by (d2, idx).
-		idxs := make([]int, len(pts))
-		for i := range idxs {
-			idxs[i] = i
-		}
-		sort.Slice(idxs, func(a, b int) bool {
-			da, db := geom.Dist2(pts[idxs[a]], q), geom.Dist2(pts[idxs[b]], q)
-			if da != db {
-				return da < db
-			}
-			return idxs[a] < idxs[b]
-		})
-		if len(got) != k {
-			t.Fatalf("k=%d: got %d results", k, len(got))
-		}
-		for i := 0; i < k; i++ {
-			if got[i] != idxs[i] {
-				t.Fatalf("k=%d: got %v, want prefix of %v", k, got, idxs[:k])
 			}
 		}
 	}

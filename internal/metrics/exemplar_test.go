@@ -51,7 +51,7 @@ func TestExemplarRoundTrip(t *testing.T) {
 	if found == nil {
 		t.Fatalf("no exemplar parsed from:\n%s", text)
 	}
-	if got := found.TraceID(); got != "deadbeef000102030405060708090a0b" {
+	if got := found.Labels["trace_id"]; got != "deadbeef000102030405060708090a0b" {
 		t.Fatalf("exemplar trace_id = %q", got)
 	}
 	if found.Value != 0.05 {

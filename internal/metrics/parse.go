@@ -27,14 +27,6 @@ type Exemplar struct {
 	Value  float64
 }
 
-// TraceID returns the exemplar's trace_id label ("" when absent).
-func (e *Exemplar) TraceID() string {
-	if e == nil {
-		return ""
-	}
-	return e.Labels["trace_id"]
-}
-
 // Label returns the sample's value for key ("" when absent).
 func (s Sample) Label(key string) string { return s.Labels[key] }
 

@@ -62,13 +62,6 @@ func certify(p Poly, iv Interval, tol float64) (float64, bool) {
 	return x, res <= certifyRelTol*scale
 }
 
-// CountCertifiedRootsIn returns the number of certified distinct real
-// roots of p in (a, b] — the phantom-resistant counterpart of
-// CountRootsInInterval.
-func CountCertifiedRootsIn(p Poly, a, b float64) int {
-	return len(CertifiedRealRoots(p, a, b, 1e-9*(1+math.Abs(a)+math.Abs(b))))
-}
-
 // AllCertifiedRealRoots returns every certified distinct real root of
 // p (using Cauchy's bound for the window), sorted ascending.
 func AllCertifiedRealRoots(p Poly, tol float64) []float64 {

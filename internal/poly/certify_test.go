@@ -57,14 +57,13 @@ func TestCertifiedRejectsPhantoms(t *testing.T) {
 
 func TestCountCertifiedRootsIn(t *testing.T) {
 	p := FromRoots(-3, 0, 5)
-	if got := CountCertifiedRootsIn(p, -10, 10); got != 3 {
-		t.Errorf("count = %d, want 3", got)
-	}
-	if got := CountCertifiedRootsIn(p, 1, 4); got != 0 {
-		t.Errorf("count = %d, want 0", got)
-	}
-	if got := CountCertifiedRootsIn(p, -1, 6); got != 2 {
-		t.Errorf("count = %d, want 2", got)
+	for _, tc := range []struct {
+		a, b float64
+		want int
+	}{{-10, 10, 3}, {1, 4, 0}, {-1, 6, 2}} {
+		if got := len(CertifiedRealRoots(p, tc.a, tc.b, 1e-9)); got != tc.want {
+			t.Errorf("(%v, %v]: count = %d, want %d", tc.a, tc.b, got, tc.want)
+		}
 	}
 }
 

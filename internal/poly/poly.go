@@ -15,9 +15,6 @@ type Poly []float64
 // order of degree, trimmed of trailing (near-)zero coefficients.
 func New(coeffs ...float64) Poly { return Poly(coeffs).Trim(0) }
 
-// Constant returns the constant polynomial c.
-func Constant(c float64) Poly { return New(c) }
-
 // X returns the monomial x.
 func X() Poly { return Poly{0, 1} }
 
@@ -217,16 +214,6 @@ func (p Poly) Shift(a float64) Poly {
 		for j := n - 2; j >= i; j-- {
 			out[j] += a * out[j+1]
 		}
-	}
-	return out.Trim(0)
-}
-
-// Compose returns p(q(x)). Cost is O(deg(p)^2 * deg(q)^2) in the worst
-// case via Horner on polynomials; fine for the small degrees used here.
-func (p Poly) Compose(q Poly) Poly {
-	var out Poly
-	for i := len(p) - 1; i >= 0; i-- {
-		out = out.Mul(q).Add(New(p[i]))
 	}
 	return out.Trim(0)
 }

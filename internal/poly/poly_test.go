@@ -206,13 +206,6 @@ func TestShiftEvalProperty(t *testing.T) {
 	}
 }
 
-func TestCompose(t *testing.T) {
-	// p(x) = x^2, q(x) = x+1: p(q) = (x+1)^2.
-	polyAlmostEqual(t, New(0, 0, 1).Compose(New(1, 1)), New(1, 2, 1), 1e-12)
-	// Compose with constant.
-	polyAlmostEqual(t, New(1, 1).Compose(New(5)), New(6), 1e-12)
-}
-
 func TestMonomialAndProd(t *testing.T) {
 	polyAlmostEqual(t, Monomial(3, 2), New(0, 0, 3), 0)
 	if Monomial(3, -1) != nil {

@@ -1,9 +1,6 @@
 package poly
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // RootBound returns a radius R such that all real roots of p lie in
 // [-R, R] (Cauchy's bound: 1 + max_i |c_i / c_lead|). It returns 0 for
@@ -27,9 +24,6 @@ func RootBound(p Poly) float64 {
 type Interval struct {
 	Lo, Hi float64
 }
-
-// Mid returns the interval midpoint.
-func (iv Interval) Mid() float64 { return (iv.Lo + iv.Hi) / 2 }
 
 // Width returns Hi - Lo.
 func (iv Interval) Width() float64 { return iv.Hi - iv.Lo }
@@ -129,28 +123,4 @@ func newtonPolish(p Poly, x float64, iv Interval) float64 {
 		x = nx
 	}
 	return x
-}
-
-// RealRoots returns the distinct real roots of p in (a, b], sorted
-// ascending, each refined to absolute tolerance tol.
-func RealRoots(p Poly, a, b, tol float64) []float64 {
-	ivs := IsolateRoots(p, a, b)
-	roots := make([]float64, 0, len(ivs))
-	for _, iv := range ivs {
-		roots = append(roots, RefineRoot(p, iv, tol))
-	}
-	sort.Float64s(roots)
-	return roots
-}
-
-// AllRealRoots returns every distinct real root of p (using Cauchy's
-// bound for the search window), sorted ascending.
-func AllRealRoots(p Poly, tol float64) []float64 {
-	r := RootBound(p)
-	if r == 0 {
-		return nil
-	}
-	// Nudge the lower bound so a root exactly at -R is included in the
-	// half-open Sturm interval (a, b].
-	return RealRoots(p, -r-1, r, tol)
 }

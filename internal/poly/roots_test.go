@@ -73,7 +73,7 @@ func TestRefineRootEvenMultiplicity(t *testing.T) {
 
 func TestRealRootsSorted(t *testing.T) {
 	p := FromRoots(5, -3, 1)
-	roots := RealRoots(p, -10, 10, 1e-12)
+	roots := CertifiedRealRoots(p, -10, 10, 1e-12)
 	want := []float64{-3, 1, 5}
 	if len(roots) != 3 {
 		t.Fatalf("roots = %v", roots)
@@ -100,7 +100,7 @@ func TestAllRealRootsRandom(t *testing.T) {
 		}
 		sort.Float64s(want)
 		p := FromRoots(want...)
-		got := AllRealRoots(p, 1e-12)
+		got := AllCertifiedRealRoots(p, 1e-12)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: got %v, want %v", trial, got, want)
 		}
@@ -113,19 +113,16 @@ func TestAllRealRootsRandom(t *testing.T) {
 }
 
 func TestAllRealRootsNone(t *testing.T) {
-	if got := AllRealRoots(New(2, 0, 1), 1e-12); len(got) != 0 {
+	if got := AllCertifiedRealRoots(New(2, 0, 1), 1e-12); len(got) != 0 {
 		t.Errorf("x^2+2 roots = %v", got)
 	}
-	if got := AllRealRoots(New(5), 1e-12); got != nil {
+	if got := AllCertifiedRealRoots(New(5), 1e-12); got != nil {
 		t.Errorf("constant roots = %v", got)
 	}
 }
 
 func TestIntervalHelpers(t *testing.T) {
 	iv := Interval{1, 3}
-	if iv.Mid() != 2 {
-		t.Errorf("Mid = %v", iv.Mid())
-	}
 	if iv.Width() != 2 {
 		t.Errorf("Width = %v", iv.Width())
 	}
@@ -135,8 +132,8 @@ func TestRootsOfScaledPolynomialInvariant(t *testing.T) {
 	// Roots are invariant under scaling the polynomial.
 	p := FromRoots(1.5, -2.5)
 	q := p.Scale(123.456)
-	rp := AllRealRoots(p, 1e-12)
-	rq := AllRealRoots(q, 1e-12)
+	rp := AllCertifiedRealRoots(p, 1e-12)
+	rq := AllCertifiedRealRoots(q, 1e-12)
 	if len(rp) != len(rq) {
 		t.Fatalf("root counts differ: %v vs %v", rp, rq)
 	}
@@ -155,10 +152,10 @@ func TestHighDegreeProductRoots(t *testing.T) {
 	for j := 1; j <= 4; j++ {
 		p = p.Mul(New(float64(j), 0, 1)) // x^2 + j
 	}
-	if got := CountDistinctRealRoots(p); got != 2 {
+	if got := NewSturmSequence(p).CountRealRoots(); got != 2 {
 		t.Fatalf("count = %d, want 2 (poly %v)", got, p)
 	}
-	roots := AllRealRoots(p, 1e-12)
+	roots := AllCertifiedRealRoots(p, 1e-12)
 	if len(roots) != 2 || math.Abs(roots[0]+1) > 1e-9 || math.Abs(roots[1]-1) > 1e-9 {
 		t.Errorf("roots = %v, want [-1, 1]", roots)
 	}

@@ -1,7 +1,5 @@
 package poly
 
-import "math"
-
 // sturmTrimRel is the relative coefficient threshold used to discard
 // numerically-dead leading terms while building Sturm sequences.
 const sturmTrimRel = 1e-12
@@ -140,59 +138,4 @@ func (s SturmSequence) CountRootsIn(a, b float64) int {
 		return 0
 	}
 	return n
-}
-
-// CountDistinctRealRoots is a convenience wrapper building the chain
-// and counting roots over the whole real line.
-func CountDistinctRealRoots(p Poly) int {
-	return NewSturmSequence(p).CountRealRoots()
-}
-
-// CountRootsInInterval is a convenience wrapper counting distinct real
-// roots of p in (a, b].
-func CountRootsInInterval(p Poly, a, b float64) int {
-	return NewSturmSequence(p).CountRootsIn(a, b)
-}
-
-// CubicDiscriminant returns the discriminant of the cubic
-// c3*x^3 + c2*x^2 + c1*x + c0:
-//
-//	Δ = c1²c2² − 4c0c2³ − 4c1³c3 + 18c0c1c2c3 − 27c0²c3²
-//
-// (exactly the expression used in Proposition 3.4 of the paper). The
-// cubic has one real root when Δ < 0 and three when Δ > 0.
-func CubicDiscriminant(c0, c1, c2, c3 float64) float64 {
-	return c1*c1*c2*c2 - 4*c0*c2*c2*c2 - 4*c1*c1*c1*c3 + 18*c0*c1*c2*c3 - 27*c0*c0*c3*c3
-}
-
-// SolveQuadratic returns the real roots of a + b*x + c*x^2 in
-// ascending order (0, 1, or 2 roots; a double root is reported once).
-// A degenerate (linear/constant) input is handled gracefully.
-func SolveQuadratic(a, b, c float64) []float64 {
-	if c == 0 {
-		if b == 0 {
-			return nil
-		}
-		return []float64{-a / b}
-	}
-	disc := b*b - 4*a*c
-	if disc < 0 {
-		return nil
-	}
-	if disc == 0 {
-		return []float64{-b / (2 * c)}
-	}
-	sq := math.Sqrt(disc)
-	// Numerically stable form avoiding catastrophic cancellation.
-	var q float64
-	if b >= 0 {
-		q = -(b + sq) / 2
-	} else {
-		q = -(b - sq) / 2
-	}
-	r1, r2 := q/c, a/q
-	if r1 > r2 {
-		r1, r2 = r2, r1
-	}
-	return []float64{r1, r2}
 }

@@ -41,8 +41,8 @@ func TestCountRealRootsKnown(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := CountDistinctRealRoots(tc.p); got != tc.want {
-				t.Fatalf("CountDistinctRealRoots = %d, want %d", got, tc.want)
+			if got := NewSturmSequence(tc.p).CountRealRoots(); got != tc.want {
+				t.Fatalf("CountRealRoots = %d, want %d", got, tc.want)
 			}
 		})
 	}
@@ -63,8 +63,8 @@ func TestCountRootsInInterval(t *testing.T) {
 		{5, 2, 0},   // swapped bounds
 	}
 	for _, tc := range tests {
-		if got := CountRootsInInterval(p, tc.a, tc.b); got != tc.want {
-			t.Errorf("CountRootsInInterval(%v, %v) = %d, want %d", tc.a, tc.b, got, tc.want)
+		if got := NewSturmSequence(p).CountRootsIn(tc.a, tc.b); got != tc.want {
+			t.Errorf("CountRootsIn(%v, %v) = %d, want %d", tc.a, tc.b, got, tc.want)
 		}
 	}
 }
@@ -94,7 +94,7 @@ func TestSturmMatchesBruteForceRandom(t *testing.T) {
 			c := rng.Float64()*2 + 1 + b*b/4 // ensures negative discriminant
 			p = p.Mul(New(c, b, 1))
 		}
-		if got := CountDistinctRealRoots(p); got != nReal {
+		if got := NewSturmSequence(p).CountRealRoots(); got != nReal {
 			t.Fatalf("trial %d: roots %v, poly %v: count = %d, want %d",
 				trial, roots, p, got, nReal)
 		}
@@ -119,18 +119,39 @@ func TestSignChangesAtInfinities(t *testing.T) {
 	}
 }
 
+// cubicDiscriminant returns the discriminant of the cubic
+// c3*x^3 + c2*x^2 + c1*x + c0,
+//
+//	Δ = c1²c2² − 4c0c2³ − 4c1³c3 + 18c0c1c2c3 − 27c0²c3²
+//
+// (the expression used in Proposition 3.4 of the paper). The cubic has
+// one real root when Δ < 0 and three when Δ > 0, which makes its sign
+// an oracle for Sturm root counts that shares no code with them.
+func cubicDiscriminant(c0, c1, c2, c3 float64) float64 {
+	return c1*c1*c2*c2 - 4*c0*c2*c2*c2 - 4*c1*c1*c1*c3 + 18*c0*c1*c2*c3 - 27*c0*c0*c3*c3
+}
+
 func TestCubicDiscriminant(t *testing.T) {
 	// x^3 - 3x has roots 0, ±sqrt(3): three real roots, Δ > 0.
-	if d := CubicDiscriminant(0, -3, 0, 1); d <= 0 {
+	if d := cubicDiscriminant(0, -3, 0, 1); d <= 0 {
 		t.Errorf("discriminant = %v, want > 0", d)
 	}
+	if n := NewSturmSequence(New(0, -3, 0, 1)).CountRealRoots(); n != 3 {
+		t.Errorf("x^3-3x: %d real roots, want 3", n)
+	}
 	// x^3 + x has one real root: Δ < 0.
-	if d := CubicDiscriminant(0, 1, 0, 1); d >= 0 {
+	if d := cubicDiscriminant(0, 1, 0, 1); d >= 0 {
 		t.Errorf("discriminant = %v, want < 0", d)
 	}
+	if n := NewSturmSequence(New(0, 1, 0, 1)).CountRealRoots(); n != 1 {
+		t.Errorf("x^3+x: %d real roots, want 1", n)
+	}
 	// x^3 (triple root): Δ = 0.
-	if d := CubicDiscriminant(0, 0, 0, 1); d != 0 {
+	if d := cubicDiscriminant(0, 0, 0, 1); d != 0 {
 		t.Errorf("discriminant = %v, want 0", d)
+	}
+	if n := NewSturmSequence(New(0, 0, 0, 1)).CountRealRoots(); n != 1 {
+		t.Errorf("x^3: %d distinct real roots, want 1", n)
 	}
 }
 
@@ -141,72 +162,16 @@ func TestCubicDiscriminantMatchesSturm(t *testing.T) {
 		c1 := rng.Float64()*4 - 2
 		c2 := rng.Float64()*4 - 2
 		c3 := rng.Float64()*2 + 0.5
-		disc := CubicDiscriminant(c0, c1, c2, c3)
+		disc := cubicDiscriminant(c0, c1, c2, c3)
 		if math.Abs(disc) < 1e-6 {
 			continue // too close to a multiple root for float64 certainty
 		}
-		n := CountDistinctRealRoots(New(c0, c1, c2, c3))
+		n := NewSturmSequence(New(c0, c1, c2, c3)).CountRealRoots()
 		if disc < 0 && n != 1 {
 			t.Fatalf("trial %d: Δ=%v<0 but %d real roots (poly %v)", trial, disc, n, New(c0, c1, c2, c3))
 		}
 		if disc > 0 && n != 3 {
 			t.Fatalf("trial %d: Δ=%v>0 but %d real roots (poly %v)", trial, disc, n, New(c0, c1, c2, c3))
-		}
-	}
-}
-
-func TestSolveQuadratic(t *testing.T) {
-	tests := []struct {
-		name    string
-		a, b, c float64
-		want    []float64
-	}{
-		{"twoRoots", -1, 0, 1, []float64{-1, 1}}, // x^2-1
-		{"noRoots", 1, 0, 1, nil},                // x^2+1
-		{"doubleRoot", 1, -2, 1, []float64{1}},   // (x-1)^2
-		{"linear", -6, 2, 0, []float64{3}},       // 2x-6
-		{"constant", 5, 0, 0, nil},
-		{"stableCancellation", 1, -1e8, 1, nil}, // filled below
-	}
-	for _, tc := range tests[:5] {
-		t.Run(tc.name, func(t *testing.T) {
-			got := SolveQuadratic(tc.a, tc.b, tc.c)
-			if len(got) != len(tc.want) {
-				t.Fatalf("roots = %v, want %v", got, tc.want)
-			}
-			for i := range got {
-				if !almostEq(got[i], tc.want[i], 1e-9) {
-					t.Fatalf("roots = %v, want %v", got, tc.want)
-				}
-			}
-		})
-	}
-	// Numerical stability: roots of x^2 - 1e8 x + 1 are ~1e8 and ~1e-8.
-	got := SolveQuadratic(1, -1e8, 1)
-	if len(got) != 2 {
-		t.Fatalf("roots = %v", got)
-	}
-	if math.Abs(got[0]-1e-8) > 1e-15 {
-		t.Errorf("small root = %v, want 1e-8", got[0])
-	}
-	if math.Abs(got[1]-1e8) > 1 {
-		t.Errorf("large root = %v, want 1e8", got[1])
-	}
-}
-
-func TestSolveQuadraticMatchesEval(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 200; trial++ {
-		a := rng.Float64()*10 - 5
-		b := rng.Float64()*10 - 5
-		c := rng.Float64()*10 - 5
-		if math.Abs(c) < 1e-3 {
-			continue
-		}
-		for _, r := range SolveQuadratic(a, b, c) {
-			if v := New(a, b, c).Eval(r); math.Abs(v) > 1e-6*(1+math.Abs(a)+math.Abs(b)+math.Abs(c)) {
-				t.Fatalf("trial %d: root %v evaluates to %v", trial, r, v)
-			}
 		}
 	}
 }

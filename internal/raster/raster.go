@@ -124,14 +124,6 @@ func (rm *ReceptionMap) PixelArea() float64 {
 	return rm.Box.Area() / float64(rm.Width*rm.Height)
 }
 
-// PixelCenter returns the plane coordinates of pixel (col, row).
-func (rm *ReceptionMap) PixelCenter(col, row int) geom.Point {
-	return geom.Pt(
-		rm.Box.Min.X+(float64(col)+0.5)*rm.Box.Width()/float64(rm.Width),
-		rm.Box.Max.Y-(float64(row)+0.5)*rm.Box.Height()/float64(rm.Height),
-	)
-}
-
 // StationArea estimates area(H_i) as (pixel count) * (pixel area).
 func (rm *ReceptionMap) StationArea(i int) float64 {
 	count := 0
@@ -141,18 +133,6 @@ func (rm *ReceptionMap) StationArea(i int) float64 {
 		}
 	}
 	return float64(count) * rm.PixelArea()
-}
-
-// CoverageFraction returns the fraction of pixels where some station
-// is heard.
-func (rm *ReceptionMap) CoverageFraction() float64 {
-	heard := 0
-	for _, v := range rm.Pixels {
-		if v != NoStation {
-			heard++
-		}
-	}
-	return float64(heard) / float64(len(rm.Pixels))
 }
 
 // zoneGlyphs are the characters used for stations 0.. in ASCII output.

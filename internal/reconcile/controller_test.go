@@ -137,26 +137,6 @@ func specJSON(t *testing.T, sp *serve.NetworkSpec) string {
 	return string(b)
 }
 
-// specYAML renders a spec in the YAML subset, exercising the second
-// parser front door with the same content the JSON path carries.
-func specYAML(sp *serve.NetworkSpec) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "name: %s\n", sp.Name)
-	fmt.Fprintf(&b, "noise: %g\n", sp.Noise)
-	fmt.Fprintf(&b, "beta: %g\n", sp.Beta)
-	if sp.Resolver != "" {
-		fmt.Fprintf(&b, "resolver: %s\n", sp.Resolver)
-	}
-	b.WriteString("stations:\n")
-	for _, st := range sp.Stations {
-		fmt.Fprintf(&b, "  - x: %g\n    y: %g\n", st.X, st.Y)
-		if st.Power != 0 {
-			fmt.Fprintf(&b, "    power: %g\n", st.Power)
-		}
-	}
-	return b.String()
-}
-
 func hashOf(t *testing.T, sp *serve.NetworkSpec) string {
 	t.Helper()
 	canonical, err := cloneSpec(sp).CanonicalJSON()
@@ -267,7 +247,7 @@ func TestParseErrorKeepsLastGood(t *testing.T) {
 	sp := &serve.NetworkSpec{
 		Name: "keep", Stations: []serve.SpecStation{{X: 0, Y: 0}}, Noise: 0.1, Beta: 1,
 	}
-	writeSpecFile(t, dir, "keep.yaml", specYAML(sp))
+	writeSpecFile(t, dir, "keep.json", specJSON(t, sp))
 	want := hashOf(t, sp)
 	waitFor(t, "creation", func() bool {
 		h, ok := srv.SpecHashOf("keep")
@@ -275,7 +255,7 @@ func TestParseErrorKeepsLastGood(t *testing.T) {
 	})
 
 	base := c.syncs.Value()
-	writeSpecFile(t, dir, "keep.yaml", "name: keep\n\tbroken")
+	writeSpecFile(t, dir, "keep.json", `{"name": "keep", "stations": [`)
 	waitFor(t, "syncs over the broken file", func() bool { return syncedAtLeast(c, base+3) })
 	if h, ok := srv.SpecHashOf("keep"); !ok || h != want {
 		t.Fatalf("network drifted on a parse error: ok=%v hash=%q", ok, h)
@@ -287,13 +267,35 @@ func TestParseErrorKeepsLastGood(t *testing.T) {
 		t.Fatalf("Desired = %d with a broken-but-remembered spec, want 1", st.Desired)
 	}
 
-	if err := os.Remove(filepath.Join(dir, "keep.yaml")); err != nil {
+	if err := os.Remove(filepath.Join(dir, "keep.json")); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "deletion after file removal", func() bool {
 		_, ok := srv.SpecHashOf("keep")
 		return !ok
 	})
+}
+
+// TestYAMLSpecIsASpecError: specs are JSON only. A valid YAML document
+// in a .yaml file is listed, counted as a spec error, and creates no
+// network.
+func TestYAMLSpecIsASpecError(t *testing.T) {
+	dir := t.TempDir()
+	srv := serve.NewServer(serve.Options{})
+	c := New(srv, fastOptions(dir))
+	startController(t, c)
+
+	writeSpecFile(t, dir, "net.yaml", "name: net\nnoise: 0.1\nbeta: 1\nstations:\n  - x: 0\n    y: 0\n")
+	waitFor(t, "syncs over the YAML file", func() bool { return syncedAtLeast(c, 3) })
+	if c.specErrs.Value() == 0 {
+		t.Fatal("YAML spec was not counted as a spec error")
+	}
+	if _, ok := srv.SpecHashOf("net"); ok {
+		t.Fatal("YAML spec created a network")
+	}
+	if st := c.Stats(); st.Desired != 0 {
+		t.Fatalf("Desired = %d, want 0", st.Desired)
+	}
 }
 
 // TestDuplicateNameFirstPathWins: two files declaring the same
@@ -458,27 +460,24 @@ func runConvergenceTrial(t *testing.T, seed int64) {
 		}
 		if desired[name] != nil && rng.Intn(4) == 0 {
 			delete(desired, name)
-			for _, ext := range []string{".json", ".yaml"} {
-				if err := os.Remove(filepath.Join(dir, name+ext)); err != nil && !os.IsNotExist(err) {
+			for _, file := range []string{name + ".json", name + "-alt.json"} {
+				if err := os.Remove(filepath.Join(dir, file)); err != nil && !os.IsNotExist(err) {
 					t.Fatal(err)
 				}
 			}
 		} else {
 			sp := randomSpec(rng, name)
 			desired[name] = sp
-			// Alternate formats; drop the other-format file first so
-			// the name never appears twice.
-			if rng.Intn(2) == 0 {
-				if err := os.Remove(filepath.Join(dir, name+".yaml")); err != nil && !os.IsNotExist(err) {
-					t.Fatal(err)
-				}
-				writeSpecFile(t, dir, name+".json", specJSON(t, sp))
-			} else {
-				if err := os.Remove(filepath.Join(dir, name+".json")); err != nil && !os.IsNotExist(err) {
-					t.Fatal(err)
-				}
-				writeSpecFile(t, dir, name+".yaml", specYAML(sp))
+			// Alternate between two files for the name; drop the other
+			// file first so the name never appears twice.
+			file, other := name+".json", name+"-alt.json"
+			if rng.Intn(2) != 0 {
+				file, other = other, file
 			}
+			if err := os.Remove(filepath.Join(dir, other)); err != nil && !os.IsNotExist(err) {
+				t.Fatal(err)
+			}
+			writeSpecFile(t, dir, file, specJSON(t, sp))
 		}
 		if rng.Intn(2) == 0 {
 			time.Sleep(time.Duration(rng.Intn(6)) * time.Millisecond)

@@ -3,8 +3,8 @@
 //
 // The controller follows the informer → rate-limited-workqueue →
 // keyed-worker shape of Kubernetes-style controllers: a polling
-// lister parses every spec file (JSON or a YAML subset, one canonical
-// serve.NetworkSpec per file) and computes drift by content hash
+// lister parses every spec file (one canonical serve.NetworkSpec per
+// JSON file) and computes drift by content hash
 // against the live registry; drifted or removed names are enqueued;
 // workers — at most one per name at a time, enforced by per-name
 // keyed locks — apply the cheapest convergent operation through

@@ -12,26 +12,13 @@ import (
 	"repro/internal/serve"
 )
 
-// ParseSpec decodes one spec document — JSON or the YAML subset,
-// sniffed by the first non-space byte — into a NetworkSpec. Decoding
-// is strict: unknown fields are errors, so a typoed key fails loudly
-// instead of silently describing a different network.
+// ParseSpec decodes one JSON spec document into a NetworkSpec.
+// Decoding is strict: unknown fields are errors, so a typoed key fails
+// loudly instead of silently describing a different network.
 func ParseSpec(data []byte) (*serve.NetworkSpec, error) {
 	trimmed := bytes.TrimSpace(data)
 	if len(trimmed) == 0 {
 		return nil, fmt.Errorf("empty spec")
-	}
-	if trimmed[0] != '{' {
-		tree, err := parseYAML(data)
-		if err != nil {
-			return nil, err
-		}
-		// Round-trip the generic tree through JSON so both formats share
-		// one strict decode path.
-		trimmed, err = json.Marshal(tree)
-		if err != nil {
-			return nil, err
-		}
 	}
 	dec := json.NewDecoder(bytes.NewReader(trimmed))
 	dec.DisallowUnknownFields()
@@ -62,7 +49,9 @@ type specError struct {
 // isSpecPath reports whether a directory entry looks like a spec file:
 // a regular .json/.yaml/.yml file that is not hidden and not an
 // editor/atomic-write artifact (*.tmp and dotfiles are skipped so
-// write-then-rename producers never expose half files).
+// write-then-rename producers never expose half files). Specs are JSON
+// only; .yaml/.yml files are still listed so that each one surfaces
+// as a spec error instead of being silently ignored.
 func isSpecPath(name string) bool {
 	if strings.HasPrefix(name, ".") {
 		return false

@@ -28,7 +28,7 @@ func benchServer(b *testing.B, eps float64) (*httptest.Server, []geom.Point) {
 	ts := httptest.NewServer(srv)
 	b.Cleanup(ts.Close)
 
-	reg := NetworkRequest{Name: "bench", Noise: 0.01, Beta: 3}
+	reg := NetworkSpec{Name: "bench", Noise: 0.01, Beta: 3}
 	reg.Stations = make([]SpecStation, len(stations))
 	for i, s := range stations {
 		reg.Stations[i] = SpecStation{X: s.X, Y: s.Y}
@@ -116,7 +116,7 @@ func BenchmarkServeBatch(b *testing.B) {
 		b.Fatal(err)
 	}
 	srv := NewServer(Options{MaxConcurrent: 4})
-	reg := NetworkRequest{Name: "bench", Noise: 0.01, Beta: 3}
+	reg := NetworkSpec{Name: "bench", Noise: 0.01, Beta: 3}
 	reg.Stations = make([]SpecStation, len(stations))
 	for i, s := range stations {
 		reg.Stations[i] = SpecStation{X: s.X, Y: s.Y}

@@ -2,9 +2,16 @@ package serve
 
 import (
 	"container/list"
+	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 )
+
+// errBuildPanicked is wrapped by the error a flightCache returns for a
+// build that panicked. The fault is the server's, not the request's,
+// so handlers answer it with 500.
+var errBuildPanicked = errors.New("serve: build panicked")
 
 // cacheKey identifies one cached value: a network incarnation (the
 // *netEntry, never the name, which a delete and re-create reuses), a
@@ -35,7 +42,9 @@ type flight[P comparable, V any] struct {
 //     caller's successful build counts as a hit: the caller paid a
 //     wait, not a build.
 //   - A failed build gives every caller waiting on it its error and
-//     leaves the cache, so the next get runs one new build.
+//     leaves the cache, so the next get runs one new build. A build
+//     that panics fails the same way, with an error wrapping
+//     errBuildPanicked.
 //   - LRU eviction removes only completed entries, so an identical
 //     request never duplicates an in-flight build; the cache can
 //     transiently exceed its capacity under a burst of new keys.
@@ -111,7 +120,7 @@ func (c *flightCache[P, V]) get(key cacheKey[P], fresh func(V) bool, build func(
 // drop or a newer flight has replaced f already.
 func (c *flightCache[P, V]) run(f *flight[P, V], prev V, build func(prev V) (V, error)) (V, bool, error) {
 	c.builds.Add(1)
-	val, err := build(prev)
+	val, err := recoverBuild(build, prev)
 	c.mu.Lock()
 	f.val, f.err, f.done = val, err, true
 	if err != nil {
@@ -123,6 +132,20 @@ func (c *flightCache[P, V]) run(f *flight[P, V], prev V, build func(prev V) (V, 
 	c.mu.Unlock()
 	close(f.ready)
 	return val, false, err
+}
+
+// recoverBuild runs build and turns a panic into an error wrapping
+// errBuildPanicked that names the panic value. Without it a panicking
+// build would never close its flight's ready channel: every waiter
+// would block forever, and eviction, which skips in-flight entries,
+// could never free the slot.
+func recoverBuild[V any](build func(prev V) (V, error), prev V) (val V, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("%w: %v", errBuildPanicked, r)
+		}
+	}()
+	return build(prev)
 }
 
 // evictLocked removes completed least-recently-used entries until the

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
@@ -294,68 +295,118 @@ func testFlightLifecycle[P, V comparable](t *testing.T, key func(e *netEntry, i 
 }
 
 // TestFlightCacheFailedBuild: every caller waiting on a build that
-// fails gets its error and counts no hit, and the next get runs exactly
-// one new build.
+// fails, by returning an error or by panicking, gets its error and
+// counts no hit, the entry leaves the cache, and the next get runs
+// exactly one new build. A panic reaches every caller, the builder
+// included, as an error that wraps errBuildPanicked and names the
+// panic value.
 func TestFlightCacheFailedBuild(t *testing.T) {
-	c := newFlightCache[schedKey, *schedResult](4)
-	k := cacheKey[schedKey]{net: &netEntry{}, params: schedKey{model: "sinr", linkLen: 1}}
 	boom := errors.New("boom")
-	var builds atomic.Int32
-	started, release := make(chan struct{}), make(chan struct{})
-	failing := func(*schedResult) (*schedResult, error) {
-		if builds.Add(1) == 1 {
-			close(started)
-		}
-		<-release
-		return nil, boom
-	}
-
-	const waiters = 8
-	errs := make(chan error, waiters+1)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_, _, err := c.get(k, nil, failing)
-		errs <- err
-	}()
-	<-started
-	for range waiters {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, hit, err := c.get(k, nil, failing)
-			if hit {
-				t.Error("a waiter on a failed build counted a hit")
+	for _, tc := range []struct {
+		name string
+		fail func() (*schedResult, error)
+		want func(error) bool
+	}{
+		{
+			name: "error",
+			fail: func() (*schedResult, error) { return nil, boom },
+			want: func(err error) bool { return errors.Is(err, boom) },
+		},
+		{
+			name: "panic",
+			fail: func() (*schedResult, error) { panic("kaboom") },
+			want: func(err error) bool {
+				return errors.Is(err, errBuildPanicked) && strings.Contains(err.Error(), "kaboom")
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newFlightCache[schedKey, *schedResult](4)
+			k := cacheKey[schedKey]{net: &netEntry{}, params: schedKey{model: "sinr", linkLen: 1}}
+			var builds atomic.Int32
+			started, release := make(chan struct{}), make(chan struct{})
+			failing := func(*schedResult) (*schedResult, error) {
+				if builds.Add(1) == 1 {
+					close(started)
+				}
+				<-release
+				return tc.fail()
 			}
-			errs <- err
-		}()
-	}
-	waitFor(t, "every waiter to join", func() bool { return joined() >= waiters })
-	close(release)
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if !errors.Is(err, boom) {
-			t.Errorf("caller got %v, want the build's error", err)
-		}
-	}
-	if n := builds.Load(); n != 1 {
-		t.Errorf("%d builds for one failure, want 1", n)
-	}
-	if h := c.hits.Load(); h != 0 {
-		t.Errorf("hits = %d after a failed build, want 0", h)
-	}
-	if c.Len() != 0 {
-		t.Errorf("failed entry still cached: len %d", c.Len())
-	}
 
-	ran := 0
-	if _, hit, err := c.get(k, nil, func(*schedResult) (*schedResult, error) {
-		ran++
-		return &schedResult{}, nil
-	}); err != nil || hit || ran != 1 {
-		t.Errorf("next get: hit=%v err=%v builds=%d, want exactly one new build", hit, err, ran)
+			const waiters = 8
+			errs := make(chan error, waiters+1)
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				// A panic escaping get would crash the test binary;
+				// report it as this caller's error instead.
+				defer func() {
+					if r := recover(); r != nil {
+						errs <- fmt.Errorf("get panicked: %v", r)
+					}
+				}()
+				_, _, err := c.get(k, nil, failing)
+				errs <- err
+			}()
+			<-started
+			for range waiters {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					_, hit, err := c.get(k, nil, failing)
+					if hit {
+						t.Error("a waiter on a failed build counted a hit")
+					}
+					errs <- err
+				}()
+			}
+			waitFor(t, "every waiter to join", func() bool { return joined() >= waiters })
+			close(release)
+			waitFor(t, "every caller to return", func() bool { return len(errs) == waiters+1 })
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				if !tc.want(err) {
+					t.Errorf("caller got %v, want the build's failure", err)
+				}
+			}
+			if n := builds.Load(); n != 1 {
+				t.Errorf("%d builds for one failure, want 1", n)
+			}
+			if h := c.hits.Load(); h != 0 {
+				t.Errorf("hits = %d after a failed build, want 0", h)
+			}
+			if c.Len() != 0 {
+				t.Errorf("failed entry still cached: len %d", c.Len())
+			}
+
+			ran := 0
+			if _, hit, err := c.get(k, nil, func(*schedResult) (*schedResult, error) {
+				ran++
+				return &schedResult{}, nil
+			}); err != nil || hit || ran != 1 {
+				t.Errorf("next get: hit=%v err=%v builds=%d, want exactly one new build", hit, err, ran)
+			}
+		})
+	}
+}
+
+// TestErrorStatus: a build that panicked is the server's fault (500),
+// not the request's (400).
+func TestErrorStatus(t *testing.T) {
+	for _, tc := range []struct {
+		err  error
+		want int
+	}{
+		{errUnknownNetwork, http.StatusNotFound},
+		{fmt.Errorf("%w: kaboom", errBuildPanicked), http.StatusInternalServerError},
+		{fmt.Errorf("%w (eps 0 < 0.01)", errEpsTooSmall), http.StatusBadRequest},
+		{errors.New("sched: no links"), http.StatusBadRequest},
+	} {
+		if got := errorStatus(tc.err); got != tc.want {
+			t.Errorf("errorStatus(%v) = %d, want %d", tc.err, got, tc.want)
+		}
 	}
 }
 

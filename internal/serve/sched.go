@@ -199,7 +199,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	})
 	tr.End(bs)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "cannot schedule: %v", err)
+		writeError(w, errorStatus(err), "cannot schedule: %v", err)
 		return
 	}
 	ki := schedKindIdx(kind)

@@ -268,8 +268,7 @@ type PointJSON struct {
 	Y float64 `json:"y"`
 }
 
-// The POST /v1/networks body is NetworkSpec (see spec.go); the old
-// NetworkRequest name survives as a deprecated alias of it.
+// The POST /v1/networks body is NetworkSpec (see spec.go).
 
 // NetworkResponse acknowledges a registration or a PATCH delta.
 // Epoch and ApplyPath are set by PATCH responses: Epoch is the
@@ -664,9 +663,15 @@ func (s *Server) resolverFor(tr *trace.Trace, entry *netEntry, spec resolverSpec
 	return snap, res, kind, eps, nil
 }
 
-func locateStatus(err error) int {
-	if errors.Is(err, errUnknownNetwork) {
+// errorStatus is the HTTP status of a failed resolver or schedule
+// lookup: 404 for an unknown network, 500 for a build that panicked
+// (the server's fault), and 400 for everything else (the request's).
+func errorStatus(err error) int {
+	switch {
+	case errors.Is(err, errUnknownNetwork):
 		return http.StatusNotFound
+	case errors.Is(err, errBuildPanicked):
+		return http.StatusInternalServerError
 	}
 	return http.StatusBadRequest
 }
@@ -753,7 +758,7 @@ func (s *Server) handleLocate(w http.ResponseWriter, r *http.Request) {
 		kind: req.Resolver, eps: req.Eps, radius: req.Radius,
 	})
 	if err != nil {
-		writeError(w, locateStatus(err), "%v", err)
+		writeError(w, errorStatus(err), "%v", err)
 		return
 	}
 	sc.pts = grow(sc.pts, len(req.Points))
@@ -828,7 +833,7 @@ func (s *Server) handleLocateStream(w http.ResponseWriter, r *http.Request) {
 	defer entry.release()
 	snap, res, kind, _, err := s.resolverFor(tr, entry, spec)
 	if err != nil {
-		writeError(w, locateStatus(err), "%v", err)
+		writeError(w, errorStatus(err), "%v", err)
 		return
 	}
 

@@ -31,8 +31,8 @@ func testStations(t *testing.T, n int, seed int64) []geom.Point {
 	return pts
 }
 
-func registerReq(name string, stations []geom.Point, noise, beta float64) NetworkRequest {
-	req := NetworkRequest{Name: name, Noise: noise, Beta: beta}
+func registerReq(name string, stations []geom.Point, noise, beta float64) NetworkSpec {
+	req := NetworkSpec{Name: name, Noise: noise, Beta: beta}
 	req.Stations = make([]SpecStation, len(stations))
 	for i, s := range stations {
 		req.Stations[i] = SpecStation{X: s.X, Y: s.Y}
@@ -130,7 +130,7 @@ func TestLocateErrors(t *testing.T) {
 	resp.Body.Close()
 
 	// Invalid network spec -> 400.
-	resp = postJSON(t, ts, "/v1/networks", NetworkRequest{Name: "bad", Beta: -1})
+	resp = postJSON(t, ts, "/v1/networks", NetworkSpec{Name: "bad", Beta: -1})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("invalid network: %s", resp.Status)
 	}
@@ -718,7 +718,7 @@ func TestLocateOffNearestPathNetworks(t *testing.T) {
 	}
 	lowBeta := registerReq("lowbeta", []geom.Point{geom.Pt(0, 0), geom.Pt(1, 0)}, 0, 0.5)
 	for _, tc := range []struct {
-		reg NetworkRequest
+		reg NetworkSpec
 		p   geom.Point
 	}{
 		{powered, geom.Pt(0.7, 0)},

@@ -67,14 +67,6 @@ type NetworkSpec struct {
 	Schedule *SchedulePolicy `json:"schedule,omitempty"`
 }
 
-// NetworkRequest is the deprecated name of the POST /v1/networks body.
-//
-// Deprecated: use NetworkSpec. The wire shape is unchanged — the old
-// {x,y} station objects parse into SpecStation with the default power,
-// and the parallel Powers array still folds in — so existing clients
-// need no changes.
-type NetworkRequest = NetworkSpec
-
 func finiteField(v float64) bool {
 	return !math.IsNaN(v) && !math.IsInf(v, 0)
 }

@@ -234,6 +234,3 @@ func (d *DynIndex) Covers(x, y float64) bool {
 
 // Len returns the number of ids currently inserted.
 func (d *DynIndex) Len() int { return d.n }
-
-// Cells returns the grid size (cols * rows).
-func (d *DynIndex) Cells() int { return d.cols * d.rows }

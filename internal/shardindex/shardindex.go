@@ -236,8 +236,5 @@ func (ix *Index) Covers(x, y float64) bool {
 // empty ones, which are indexed nowhere).
 func (ix *Index) Len() int { return len(ix.boxes) }
 
-// BoxOf returns box id as passed to Build.
-func (ix *Index) BoxOf(id int32) Box { return ix.boxes[id] }
-
 // Stats returns the build-time statistics of the index.
 func (ix *Index) Stats() Stats { return ix.stats }

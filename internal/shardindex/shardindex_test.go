@@ -172,7 +172,4 @@ func TestStatsShape(t *testing.T) {
 	if ix.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", ix.Len())
 	}
-	if got := ix.BoxOf(1); got != boxes[1] {
-		t.Fatalf("BoxOf(1) = %+v, want %+v", got, boxes[1])
-	}
 }

@@ -115,64 +115,6 @@ func (m *Model) Adjacent(i, j int) bool {
 	return geom.Dist(m.stations[i], m.stations[j]) <= m.connRadius
 }
 
-// Neighbors returns the indices of station i's connectivity-graph
-// neighbors.
-func (m *Model) Neighbors(i int) []int {
-	var out []int
-	for j := range m.stations {
-		if m.Adjacent(i, j) {
-			out = append(out, j)
-		}
-	}
-	return out
-}
-
-// Degree returns the number of connectivity-graph neighbors of i.
-func (m *Model) Degree(i int) int { return len(m.Neighbors(i)) }
-
-// AdjacencyMatrix returns the symmetric boolean adjacency matrix of
-// the connectivity graph.
-func (m *Model) AdjacencyMatrix() [][]bool {
-	n := len(m.stations)
-	adj := make([][]bool, n)
-	for i := range adj {
-		adj[i] = make([]bool, n)
-		for j := range adj[i] {
-			adj[i][j] = m.Adjacent(i, j)
-		}
-	}
-	return adj
-}
-
-// ConnectedComponents returns the connected components of the
-// connectivity graph as slices of station indices.
-func (m *Model) ConnectedComponents() [][]int {
-	n := len(m.stations)
-	seen := make([]bool, n)
-	var comps [][]int
-	for start := 0; start < n; start++ {
-		if seen[start] {
-			continue
-		}
-		var comp []int
-		stack := []int{start}
-		seen[start] = true
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			comp = append(comp, v)
-			for _, w := range m.Neighbors(v) {
-				if !seen[w] {
-					seen[w] = true
-					stack = append(stack, w)
-				}
-			}
-		}
-		comps = append(comps, comp)
-	}
-	return comps
-}
-
 // Verdict classifies one UDG-vs-SINR comparison at a point.
 type Verdict int
 
@@ -219,31 +161,4 @@ func Compare(m *Model, n *core.Network, p geom.Point) (Verdict, error) {
 	default:
 		return Agree, nil
 	}
-}
-
-// DisagreementRate samples points on a grid over box and returns the
-// fraction of points where the two models disagree (any non-Agree
-// verdict), along with per-verdict counts indexed by Verdict.
-func DisagreementRate(m *Model, n *core.Network, box geom.Box, gridSide int) (float64, [4]int, error) {
-	if gridSide < 2 {
-		gridSide = 2
-	}
-	var counts [4]int
-	total := 0
-	for i := 0; i < gridSide; i++ {
-		for j := 0; j < gridSide; j++ {
-			p := geom.Pt(
-				box.Min.X+(float64(i)+0.5)*box.Width()/float64(gridSide),
-				box.Min.Y+(float64(j)+0.5)*box.Height()/float64(gridSide),
-			)
-			v, err := Compare(m, n, p)
-			if err != nil {
-				return 0, counts, err
-			}
-			counts[v]++
-			total++
-		}
-	}
-	disagree := total - counts[Agree]
-	return float64(disagree) / float64(total), counts, nil
 }

@@ -1,8 +1,8 @@
-// Package workload generates deterministic, seeded station
-// deployments for experiments and benchmarks: the uniform, clustered,
-// colinear, ring, and lattice layouts used throughout the paper's
-// figures and the reproduction's parameter sweeps, plus query-point
-// streams for the point-location engines.
+// Package workload generates deterministic, seeded inputs for
+// experiments and benchmarks: uniform and separated-uniform station
+// deployments, query-point streams for the point-location engines
+// (uniform, hotspot and random-waypoint mobility traffic), and
+// station churn traces for the dynamic-network engine.
 //
 // Map to the paper: the figure scenarios of Sections 1-5 are drawn
 // from these layouts; seeding makes every experiment, benchmark and

@@ -70,68 +70,6 @@ func (g *Generator) UniformSeparated(n int, box geom.Box, minSep float64) ([]geo
 	return pts, nil
 }
 
-// Clustered returns stations grouped into nClusters Gaussian clusters
-// with the given standard deviation, cluster centers uniform in box.
-// n stations are distributed round-robin over the clusters.
-func (g *Generator) Clustered(n, nClusters int, box geom.Box, stddev float64) []geom.Point {
-	if nClusters < 1 {
-		nClusters = 1
-	}
-	centers := g.UniformInBox(nClusters, box)
-	pts := make([]geom.Point, n)
-	for i := range pts {
-		c := centers[i%nClusters]
-		pts[i] = geom.Pt(
-			c.X+g.rng.NormFloat64()*stddev,
-			c.Y+g.rng.NormFloat64()*stddev,
-		)
-	}
-	return pts
-}
-
-// Colinear returns n stations on the x-axis: the first at the origin
-// and the rest at increasing positive offsets with random gaps in
-// [minGap, maxGap]. This matches the "positive colinear networks" of
-// Section 4.2.2 of the paper.
-func (g *Generator) Colinear(n int, minGap, maxGap float64) []geom.Point {
-	pts := make([]geom.Point, n)
-	x := 0.0
-	for i := range pts {
-		if i > 0 {
-			x += minGap + g.rng.Float64()*(maxGap-minGap)
-		}
-		pts[i] = geom.Pt(x, 0)
-	}
-	return pts
-}
-
-// Ring returns n stations evenly spaced on a circle of the given
-// radius around center, plus an optional random angular jitter of up
-// to jitter radians per station.
-func (g *Generator) Ring(n int, center geom.Point, radius, jitter float64) []geom.Point {
-	pts := make([]geom.Point, n)
-	for i := range pts {
-		theta := 2*math.Pi*float64(i)/float64(n) + (g.rng.Float64()*2-1)*jitter
-		pts[i] = geom.PolarPoint(center, radius, theta)
-	}
-	return pts
-}
-
-// Lattice returns stations on a rows x cols grid with the given
-// spacing, anchored at origin.
-func Lattice(rows, cols int, origin geom.Point, spacing float64) []geom.Point {
-	pts := make([]geom.Point, 0, rows*cols)
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			pts = append(pts, geom.Pt(
-				origin.X+float64(c)*spacing,
-				origin.Y+float64(r)*spacing,
-			))
-		}
-	}
-	return pts
-}
-
 // QueryPoints returns n query points uniform in box (for point-location
 // benchmarks).
 func (g *Generator) QueryPoints(n int, box geom.Box) []geom.Point {
@@ -223,9 +161,6 @@ func clampToBox(p geom.Point, box geom.Box) geom.Point {
 // Float64 exposes the underlying RNG's uniform [0, 1) draw, so that
 // experiments can derive auxiliary randomness from the same stream.
 func (g *Generator) Float64() float64 { return g.rng.Float64() }
-
-// Intn exposes the underlying RNG's uniform integer draw.
-func (g *Generator) Intn(n int) int { return g.rng.Intn(n) }
 
 // ChurnKind classifies one churn event of a dynamic-network trace.
 type ChurnKind int

@@ -62,104 +62,11 @@ func TestUniformSeparated(t *testing.T) {
 	}
 }
 
-func TestClustered(t *testing.T) {
-	box := geom.NewBox(geom.Pt(0, 0), geom.Pt(100, 100))
-	g := NewGenerator(3)
-	pts := g.Clustered(60, 3, box, 0.5)
-	if len(pts) != 60 {
-		t.Fatalf("len = %d", len(pts))
-	}
-	// With stddev 0.5 and 3 clusters, points should concentrate: the
-	// mean nearest-neighbor distance must be far below the uniform
-	// expectation (~ 0.5 / sqrt(60/10000) ≈ 6.5).
-	var sum float64
-	for i, p := range pts {
-		best := math.Inf(1)
-		for j, q := range pts {
-			if i != j {
-				if d := geom.Dist(p, q); d < best {
-					best = d
-				}
-			}
-		}
-		sum += best
-	}
-	if mean := sum / float64(len(pts)); mean > 2 {
-		t.Errorf("mean NN distance %v too large for clustered layout", mean)
-	}
-	// nClusters < 1 is clamped, not a crash.
-	if got := g.Clustered(5, 0, box, 1); len(got) != 5 {
-		t.Errorf("len = %d", len(got))
-	}
-}
-
-func TestColinear(t *testing.T) {
-	g := NewGenerator(11)
-	pts := g.Colinear(10, 1, 2)
-	if len(pts) != 10 {
-		t.Fatalf("len = %d", len(pts))
-	}
-	if pts[0] != geom.Pt(0, 0) {
-		t.Errorf("first point = %v, want origin", pts[0])
-	}
-	for i, p := range pts {
-		if p.Y != 0 {
-			t.Errorf("point %d off axis: %v", i, p)
-		}
-		if i > 0 {
-			gap := p.X - pts[i-1].X
-			if gap < 1 || gap > 2 {
-				t.Errorf("gap %d = %v outside [1, 2]", i, gap)
-			}
-		}
-	}
-}
-
-func TestRing(t *testing.T) {
-	g := NewGenerator(13)
-	center := geom.Pt(1, 2)
-	pts := g.Ring(12, center, 5, 0)
-	if len(pts) != 12 {
-		t.Fatalf("len = %d", len(pts))
-	}
-	for _, p := range pts {
-		if d := geom.Dist(center, p); math.Abs(d-5) > 1e-9 {
-			t.Errorf("radius = %v, want 5", d)
-		}
-	}
-	// Jittered ring still has the right radius.
-	for _, p := range g.Ring(12, center, 5, 0.1) {
-		if d := geom.Dist(center, p); math.Abs(d-5) > 1e-9 {
-			t.Errorf("jittered radius = %v", d)
-		}
-	}
-}
-
-func TestLattice(t *testing.T) {
-	pts := Lattice(2, 3, geom.Pt(1, 1), 2)
-	if len(pts) != 6 {
-		t.Fatalf("len = %d", len(pts))
-	}
-	want := []geom.Point{
-		geom.Pt(1, 1), geom.Pt(3, 1), geom.Pt(5, 1),
-		geom.Pt(1, 3), geom.Pt(3, 3), geom.Pt(5, 3),
-	}
-	for i := range want {
-		if pts[i] != want[i] {
-			t.Fatalf("pts = %v, want %v", pts, want)
-		}
-	}
-}
-
 func TestAuxiliaryDraws(t *testing.T) {
 	g := NewGenerator(1)
 	v := g.Float64()
 	if v < 0 || v >= 1 {
 		t.Errorf("Float64 = %v", v)
-	}
-	n := g.Intn(10)
-	if n < 0 || n >= 10 {
-		t.Errorf("Intn = %d", n)
 	}
 	q := g.QueryPoints(5, geom.NewBox(geom.Pt(0, 0), geom.Pt(1, 1)))
 	if len(q) != 5 {

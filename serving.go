@@ -16,8 +16,7 @@ import (
 
 // NetworkSpec is the canonical declarative description of one served
 // network: the POST /v1/networks body, the reconcile controller's
-// file format (JSON or the YAML subset), and the GET
-// /v1/networks/{name} readback.
+// JSON file format, and the GET /v1/networks/{name} readback.
 type NetworkSpec = serve.NetworkSpec
 
 // SpecStation is one station of a NetworkSpec (zero Power means the
@@ -47,9 +46,8 @@ type SpecResult = serve.SpecResult
 // the drift-detection currency of the declarative API.
 func SpecHash(canonical []byte) string { return serve.SpecHash(canonical) }
 
-// ParseNetworkSpec decodes one spec document (JSON or the YAML
-// subset, sniffed by the first byte) strictly: unknown fields are
-// errors.
+// ParseNetworkSpec decodes one JSON spec document strictly: unknown
+// fields are errors.
 func ParseNetworkSpec(data []byte) (*NetworkSpec, error) { return reconcile.ParseSpec(data) }
 
 // Server is the serving subsystem: an http.Handler owning a registry

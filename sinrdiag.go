@@ -148,10 +148,10 @@
 // speedup over the scan in BENCH_sched.json.
 //
 // The facade re-exports the library's core types; the full API
-// (geometry kit, polynomial/Sturm machinery, Voronoi diagrams, UDG
-// baselines, rasterization, experiment harness) lives in the internal
-// packages and is exercised by the binaries under cmd/ and the
-// examples under examples/.
+// (geometry kit, polynomial/Sturm machinery, nearest-station kd-tree,
+// UDG baselines, rasterization, experiment harness) lives in the
+// internal packages and is exercised by the binaries under cmd/ and
+// the examples under examples/.
 package sinrdiag
 
 import (
