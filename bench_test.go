@@ -20,6 +20,7 @@ import (
 	"repro/internal/exp"
 	"repro/internal/geom"
 	"repro/internal/kdtree"
+	"repro/internal/resolve"
 	"repro/internal/sched"
 	"repro/internal/workload"
 )
@@ -187,22 +188,35 @@ func BenchmarkQueryVoronoi(b *testing.B) {
 
 // benchLocators caches Theorem 3 structures across b.N re-runs (the
 // n=256 build costs tens of seconds; rebuilding it for every
-// benchmark iteration-count probe would dominate the suite).
-var benchLocators = map[int]*core.Locator{}
+// benchmark iteration-count probe would dominate the suite). They are
+// keyed by station count and worker count, since a LocatorResolver
+// shards its batches over the workers it was built with. Each answers
+// without exact fallback, so the batch benchmarks time the same
+// approximate answer the single-point ones read from its Locator.
+var benchLocators = map[[2]int]*resolve.LocatorResolver{}
+
+// benchLocator returns the cached eps = 0.1 locator resolver for the
+// n-station bench network; workers 0 means one per CPU.
+func benchLocator(b *testing.B, n, workers int) *resolve.LocatorResolver {
+	b.Helper()
+	key := [2]int{n, workers}
+	r := benchLocators[key]
+	if r == nil {
+		var err error
+		r, err = resolve.NewLocator(benchNetwork(b, n), resolve.WithEpsilon(0.1),
+			resolve.WithExactFallback(false), resolve.WithWorkers(workers))
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchLocators[key] = r
+	}
+	return r
+}
 
 func BenchmarkQueryDS(b *testing.B) {
 	for _, n := range []int{4, 16, 64, 256} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			net := benchNetwork(b, n)
-			loc := benchLocators[n]
-			if loc == nil {
-				var err error
-				loc, err = net.BuildLocator(0.1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				benchLocators[n] = loc
-			}
+			loc := benchLocator(b, n, 0).Locator()
 			gen := workload.NewGenerator(17)
 			qs := gen.QueryPoints(1024, geom.NewBox(geom.Pt(-6, -6), geom.Pt(6, 6)))
 			b.ReportAllocs()
@@ -222,16 +236,7 @@ func BenchmarkQueryDS(b *testing.B) {
 func BenchmarkLocateScan(b *testing.B) {
 	for _, n := range []int{16, 64, 256} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			net := benchNetwork(b, n)
-			loc := benchLocators[n]
-			if loc == nil {
-				var err error
-				loc, err = net.BuildLocator(0.1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				benchLocators[n] = loc
-			}
+			loc := benchLocator(b, n, 0).Locator()
 			gen := workload.NewGenerator(17)
 			qs := gen.QueryPoints(1024, geom.NewBox(geom.Pt(-6, -6), geom.Pt(6, 6)))
 			b.ReportAllocs()
@@ -251,7 +256,7 @@ func BenchmarkLocateNoIndex(b *testing.B) {
 	for _, n := range []int{16, 64} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			net := benchNetwork(b, n)
-			loc, err := net.BuildLocatorOpts(0.1, core.BuildOptions{NoSpatialIndex: true})
+			loc, err := core.BuildLocatorOpts(net, 0.1, core.BuildOptions{NoSpatialIndex: true})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -266,75 +271,58 @@ func BenchmarkLocateNoIndex(b *testing.B) {
 	}
 }
 
+// benchResolveBatch times one op as a full 1024-point ResolveBatch of
+// r into a reused answer slice.
+func benchResolveBatch(b *testing.B, r resolve.Resolver) {
+	b.Helper()
+	gen := workload.NewGenerator(17)
+	qs := gen.QueryPoints(1024, geom.NewBox(geom.Pt(-6, -6), geom.Pt(6, 6)))
+	dst := make([]core.Location, len(qs))
+	ctx := context.Background()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := r.ResolveBatch(ctx, qs, dst); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(qs)), "queries/op")
+}
+
 // BenchmarkQueryDSBatch measures the batch query engine: one op is a
-// full 1024-point LocateBatch sharded over the default worker pool.
-// Compare ns/op against BenchmarkQueryDSBatchSerial (the same 1024
-// queries answered point-by-point on one goroutine) for the
-// concurrency speedup; on a k-core machine the batch path approaches
-// k-fold throughput.
+// full 1024-point approximate LocatorResolver.ResolveBatch sharded
+// over the default worker pool. Compare ns/op against
+// BenchmarkQueryDSBatchSerial (the same 1024 queries answered on one
+// goroutine) for the concurrency speedup; on a k-core machine the
+// batch path approaches k-fold throughput.
 func BenchmarkQueryDSBatch(b *testing.B) {
 	for _, n := range []int{4, 16, 64, 256} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			net := benchNetwork(b, n)
-			loc := benchLocators[n]
-			if loc == nil {
-				var err error
-				loc, err = net.BuildLocator(0.1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				benchLocators[n] = loc
-			}
-			gen := workload.NewGenerator(17)
-			qs := gen.QueryPoints(1024, geom.NewBox(geom.Pt(-6, -6), geom.Pt(6, 6)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				loc.LocateBatch(qs)
-			}
-			b.ReportMetric(float64(len(qs)), "queries/op")
+			benchResolveBatch(b, benchLocator(b, n, 0))
 		})
 	}
 }
 
 // BenchmarkQueryDSBatchSerial is the single-goroutine baseline for
-// BenchmarkQueryDSBatch: identical work, Workers: 1.
+// BenchmarkQueryDSBatch: identical work, WithWorkers(1).
 func BenchmarkQueryDSBatchSerial(b *testing.B) {
 	for _, n := range []int{4, 16, 64, 256} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			net := benchNetwork(b, n)
-			loc := benchLocators[n]
-			if loc == nil {
-				var err error
-				loc, err = net.BuildLocator(0.1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				benchLocators[n] = loc
-			}
-			gen := workload.NewGenerator(17)
-			qs := gen.QueryPoints(1024, geom.NewBox(geom.Pt(-6, -6), geom.Pt(6, 6)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				loc.LocateBatchOpts(qs, core.BatchOptions{Workers: 1})
-			}
-			b.ReportMetric(float64(len(qs)), "queries/op")
+			benchResolveBatch(b, benchLocator(b, n, 1))
 		})
 	}
 }
 
-// BenchmarkHeardByBatch measures the preprocessing-free batch path
-// (brute-force SINR per point, sharded).
+// BenchmarkHeardByBatch measures the preprocessing-free batch path:
+// the exact resolver's ResolveBatch, one SINR scan per point, sharded
+// over the default worker pool.
 func BenchmarkHeardByBatch(b *testing.B) {
 	for _, n := range []int{16, 64} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			net := benchNetwork(b, n)
-			gen := workload.NewGenerator(17)
-			qs := gen.QueryPoints(1024, geom.NewBox(geom.Pt(-6, -6), geom.Pt(6, 6)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				net.HeardByBatch(qs)
+			r, err := resolve.NewExact(benchNetwork(b, n))
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(len(qs)), "queries/op")
+			benchResolveBatch(b, r)
 		})
 	}
 }
@@ -352,7 +340,7 @@ func BenchmarkLocatorBuild(b *testing.B) {
 				net := benchNetwork(b, n)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					loc, err := net.BuildLocatorOpts(0.2, core.BuildOptions{Workers: mode.workers})
+					loc, err := core.BuildLocatorOpts(net, 0.2, core.BuildOptions{Workers: mode.workers})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -364,19 +352,16 @@ func BenchmarkLocatorBuild(b *testing.B) {
 }
 
 // BenchmarkLocateStream pushes a sustained query stream through the
-// ordered streaming engine (chunking, worker pool, in-order emit).
+// ordered streaming engine (chunking, worker pool, in-order emit) of
+// the locator resolver.
 func BenchmarkLocateStream(b *testing.B) {
-	net := benchNetwork(b, 16)
-	loc, err := net.BuildLocator(0.1)
-	if err != nil {
-		b.Fatal(err)
-	}
+	r := benchLocator(b, 16, 0)
 	gen := workload.NewGenerator(17)
 	qs := gen.QueryPoints(4096, geom.NewBox(geom.Pt(-6, -6), geom.Pt(6, 6)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		in := make(chan geom.Point, 256)
-		out := loc.LocateStream(context.Background(), in)
+		out := r.ResolveStream(context.Background(), in)
 		go func() {
 			for _, q := range qs {
 				in <- q

@@ -3,7 +3,7 @@
 // percentiles. It generates a network locally, registers it with the
 // server, fires /v1/locate batches from concurrent clients, and can
 // verify every served answer byte-identically against a locally built
-// resolver of the same kind, hot-swap the network mid-run to prove
+// reference (the scan oracle, or a local UDG resolver for udg), hot-swap the network mid-run to prove
 // replacement drops no traffic, and churn the station set mid-run
 // through the PATCH delta API to prove incremental mutation drops no
 // traffic either.
@@ -58,10 +58,10 @@
 // and -churn-every, which mutate the registry imperatively and would
 // race the controller's convergence.
 //
-// -verify recomputes all answers locally through the same backend
-// kind (the ground-truth exact backend for "dynamic", whose served
-// answers are exact by construction) and exits non-zero on any
-// mismatch, so the command doubles as an end-to-end correctness check
+// -verify recomputes all answers locally through the scan oracle (the
+// exact backend) for every SINR kind, whose served answers are exact
+// by construction, and through a local UDG resolver for "udg", and
+// exits non-zero on any mismatch, so the command doubles as an end-to-end correctness check
 // in CI (the serve-smoke matrix runs it once per backend, plus a
 // churn leg).
 //
@@ -168,7 +168,7 @@ func main() {
 	flag.StringVar(&cfg.churnKind, "churn-kind", "mix", "churn process: arrive, depart, power or mix")
 	flag.StringVar(&cfg.sched, "sched", "", "also exercise the schedule endpoint with this scheduler (greedy, lenclass or repair; empty = off)")
 	flag.StringVar(&cfg.specDir, "spec-dir", "", "register by writing a declarative spec here (a sinrserve -spec-dir) and wait for reconcile convergence instead of POSTing")
-	flag.BoolVar(&cfg.verify, "verify", false, "verify every served answer against a locally built backend of the same kind")
+	flag.BoolVar(&cfg.verify, "verify", false, "verify every served answer against the local scan oracle (a local UDG resolver for -resolver udg)")
 	flag.BoolVar(&cfg.scrapeMetrics, "scrape-metrics", true, "scrape /metrics before and after the run and report server-side deltas")
 	flag.BoolVar(&cfg.traceRequests, "trace", true, "propagate W3C traceparent on locate batches and print the server-side timeline of the slowest one from /debug/requests")
 	flag.DurationVar(&cfg.metricsEvery, "metrics-every", 0, "also sample /metrics at this interval during the run for peak gauges (0 = off)")
@@ -609,10 +609,13 @@ func verifySchedule(out serve.ScheduleResponse, epochs map[uint64]*dynamic.Snaps
 	return nil
 }
 
-// verifyServed rebuilds, per server generation, the same backend kind
-// locally (the exact ground truth for the dynamic kind, whose served
-// answers are exact by construction) and compares every served answer
-// against it. Batches are grouped by the generation that answered
+// verifyServed rebuilds, per server generation, an independent local
+// reference and compares every served answer against it: the scan
+// oracle (resolve.KindExact) for every SINR kind, whose served answers
+// are exact by construction, and a local UDG resolver for udg, a
+// different reception model. Checking the SINR kinds against the scan
+// rather than a local resolver of the same kind keeps the check
+// independent of the engine that answered. Batches are grouped by the generation that answered
 // them, so answers racing a swap or churn delta are checked against
 // the right station set. It returns the mismatch count; the caller
 // turns a nonzero count into a non-zero exit.
@@ -641,9 +644,9 @@ func verifyServed(cfg config, kind resolve.Kind, epochs map[uint64]*dynamic.Snap
 		if !ok {
 			return 0, fmt.Errorf("server answered from version %d, which no local mutation produced", ver)
 		}
-		vkind := kind
-		if kind == resolve.KindDynamic {
-			vkind = resolve.KindExact
+		vkind := resolve.KindExact
+		if kind == resolve.KindUDG {
+			vkind = resolve.KindUDG
 		}
 		var vopts []resolve.Option
 		if cfg.radius > 0 {
@@ -672,7 +675,7 @@ func verifyServed(cfg config, kind resolve.Kind, epochs map[uint64]*dynamic.Snap
 			if want := resolve.StationIndex(a); got[i] != want {
 				if mismatches < 5 {
 					fmt.Fprintf(os.Stderr, "sinrload: version %d mismatch at %v: served %d, local %s backend %d\n",
-						ver, pts[i], got[i], kind, want)
+						ver, pts[i], got[i], vkind, want)
 				}
 				mismatches++
 			}

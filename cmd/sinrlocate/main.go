@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -21,6 +22,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/kdtree"
 	"repro/internal/par"
+	"repro/internal/resolve"
 	"repro/internal/workload"
 )
 
@@ -53,13 +55,16 @@ func run(n int, eps float64, queries int, seed int64, beta, noise float64, worke
 	}
 	fmt.Printf("network: %v\n", net)
 
-	start := time.Now()
-	loc, err := net.BuildLocatorOpts(eps, core.BuildOptions{Workers: workers})
+	// Without exact fallback the resolver's batch answers the same
+	// approximate question as the single-point Locate loop below.
+	res, err := resolve.NewLocator(net, resolve.WithEpsilon(eps),
+		resolve.WithWorkers(workers), resolve.WithExactFallback(false))
 	if err != nil {
 		return err
 	}
+	loc := res.Locator()
 	fmt.Printf("locator: built in %v with %d workers, %d uncertain cells across %d stations (eps=%v)\n",
-		time.Since(start).Round(time.Millisecond), par.Norm(workers, n), loc.NumUncertainCells(), n, eps)
+		res.Stats().BuildCost.Round(time.Millisecond), par.Norm(workers, n), loc.NumUncertainCells(), n, eps)
 
 	qbox := box.Expand(1)
 	qs := gen.QueryPoints(queries, qbox)
@@ -67,7 +72,7 @@ func run(n int, eps float64, queries int, seed int64, beta, noise float64, worke
 
 	// Run all three algorithms and cross-check.
 	var counts [3]int // reception, none, uncertain
-	start = time.Now()
+	start := time.Now()
 	for _, p := range qs {
 		switch loc.Locate(p).Kind {
 		case core.Reception:
@@ -80,8 +85,11 @@ func run(n int, eps float64, queries int, seed int64, beta, noise float64, worke
 	}
 	dsTime := time.Since(start)
 
+	batch := make([]core.Location, len(qs))
 	start = time.Now()
-	batch := loc.LocateBatchOpts(qs, core.BatchOptions{Workers: workers})
+	if err := res.ResolveBatch(context.Background(), qs, batch); err != nil {
+		return err
+	}
 	batchTime := time.Since(start)
 	for i, p := range qs {
 		if batch[i] != loc.Locate(p) {

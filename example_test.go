@@ -44,18 +44,19 @@ func ExampleNetwork_HeardBy() {
 	// dead zone between stations
 }
 
-// ExampleLocator_LocateBatch builds the Theorem 3 point-location
-// structure — fanning the per-station constructions over one worker
-// per CPU — and answers a batch of queries in one sharded call.
-// Answers are identical to calling Locate point-by-point.
-func ExampleLocator_LocateBatch() {
+// ExampleLocatorResolver_ResolveBatch builds the Theorem 3
+// point-location structure — fanning the per-station constructions
+// over one worker per CPU — and answers a batch of queries in one
+// sharded call into a caller-owned slice. Answers are identical to
+// calling Resolve point-by-point.
+func ExampleLocatorResolver_ResolveBatch() {
 	net, err := sinrdiag.NewUniform([]sinrdiag.Point{
 		{X: 0, Y: 0}, {X: 3, Y: 1}, {X: -1, Y: 2},
 	}, 0.01, 3)
 	if err != nil {
 		panic(err)
 	}
-	loc, err := net.BuildLocator(0.1) // eps = 0.1
+	r, err := sinrdiag.NewLocatorResolver(net, sinrdiag.WithEpsilon(0.1))
 	if err != nil {
 		panic(err)
 	}
@@ -65,7 +66,11 @@ func ExampleLocator_LocateBatch() {
 		{X: 1.5, Y: 0.5}, // between the zones
 		{X: 25, Y: 25},   // far from everyone
 	}
-	for i, answer := range loc.LocateBatch(queries) {
+	answers := make([]sinrdiag.Location, len(queries))
+	if err := r.ResolveBatch(context.Background(), queries, answers); err != nil {
+		panic(err)
+	}
+	for i, answer := range answers {
 		fmt.Printf("query %d: %v\n", i, answer.Kind)
 	}
 	// Output:

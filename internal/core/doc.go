@@ -29,10 +29,9 @@
 //   - pointloc.go — Theorem 3: the combined locator (kd-tree
 //     nearest-station pre-filter per Observation 2.2, then one QDS
 //     cell lookup, O(log n) per query).
-//   - parallel.go, batch.go — the concurrency layer grown on top of
-//     the paper: a worker pool for the embarrassingly parallel
-//     per-station builds, sharded LocateBatch / HeardByBatch bulk
-//     queries, and the ordered LocateStream pipeline. Every
-//     concurrent path returns answers identical to its serial
-//     counterpart.
+//   - parallel.go — a worker pool for the embarrassingly parallel
+//     per-station builds (BuildLocatorOpts), whose result is identical
+//     for every worker count. Batch and stream queries are not here:
+//     internal/resolve shards them over any backend, this one
+//     included.
 package core

@@ -227,10 +227,10 @@ func (n *Network) Heard(i int, p geom.Point) bool {
 // HeardBy returns the index of the station heard at p and true, or
 // (0, false) when no station is heard. For beta > 1 at most one
 // station can be heard at any point, so the answer is unique; for
-// beta <= 1 the lowest-index heard station is returned. The batch
-// primitives (HeardByBatch and friends) report the same no-station
-// answer as the NoStationHeard (-1) sentinel, since they have no
-// per-element ok bool.
+// beta <= 1 the lowest-index heard station is returned. Index-shaped
+// answers (resolve.StationIndex, reception-map pixels) report the same
+// no-station answer as the NoStationHeard (-1) sentinel, since they
+// have no per-element ok bool.
 //
 // HeardBy is the scan oracle: it tests every station in index order,
 // O(n^2) in the worst case, and decides each exactly as Heard does.

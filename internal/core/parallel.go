@@ -4,9 +4,9 @@ import (
 	"repro/internal/par"
 )
 
-// DefaultWorkers returns the worker count used when a BuildOptions or
-// BatchOptions value leaves Workers at zero: runtime.GOMAXPROCS(0),
-// i.e. one worker per schedulable CPU.
+// DefaultWorkers returns the worker count used when a BuildOptions
+// value leaves Workers at zero: runtime.GOMAXPROCS(0), i.e. one worker
+// per schedulable CPU.
 func DefaultWorkers() int { return par.Default() }
 
 // BuildOptions tunes locator construction.
@@ -21,16 +21,9 @@ type BuildOptions struct {
 	// NoSpatialIndex skips building the sharded spatial index over
 	// the per-station cover boxes. The zero value builds it (the
 	// index is on by default): queries are answer-identical with and
-	// without it, so the only reason to disable it is benchmarking
-	// the pre-index path.
+	// without it, so the index-free build serves only as the reference
+	// path of the property tests and of BenchmarkLocateNoIndex.
 	NoSpatialIndex bool
-}
-
-// BatchOptions tunes batch query execution.
-type BatchOptions struct {
-	// Workers is the number of goroutines the query slice is sharded
-	// over. Zero means DefaultWorkers(); one forces the serial path.
-	Workers int
 }
 
 // parallelForErr runs fn(i) for every i in [0, n) across the given

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"context"
 	"errors"
-	"sync"
 	"testing"
 
 	"repro/internal/geom"
@@ -42,11 +40,11 @@ func TestParallelBuildDeterminism(t *testing.T) {
 		t.Skip("50-station build in short mode")
 	}
 	net := testNetwork(t, 42, 50)
-	serial, err := net.BuildLocatorOpts(0.5, BuildOptions{Workers: 1})
+	serial, err := BuildLocatorOpts(net, 0.5, BuildOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := net.BuildLocatorOpts(0.5, BuildOptions{Workers: 8})
+	parallel, err := BuildLocatorOpts(net, 0.5, BuildOptions{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,12 +63,14 @@ func TestParallelBuildDeterminism(t *testing.T) {
 	}
 }
 
-// TestWorkersOneFallback pins the Workers: 1 contract on every knob:
-// the serial paths must be taken (no goroutines needed) and produce
-// the same answers as the defaults.
+// TestWorkersOneFallback pins the Workers: 1 contract of the build
+// knob: the serial build (no goroutines needed) answers every query
+// like the default one-worker-per-CPU build. The batch and stream
+// worker knob is resolve.WithWorkers, pinned by internal/resolve's
+// TestResolveWorkersOneFallback.
 func TestWorkersOneFallback(t *testing.T) {
 	net := testNetwork(t, 7, 12)
-	loc, err := net.BuildLocatorOpts(0.4, BuildOptions{Workers: 1})
+	loc, err := BuildLocatorOpts(net, 0.4, BuildOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,155 +78,10 @@ func TestWorkersOneFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qs := testQueries(600)
-	serialBatch := loc.LocateBatchOpts(qs, BatchOptions{Workers: 1})
-	defBatch := def.LocateBatch(qs)
-	for i := range qs {
-		if serialBatch[i] != defBatch[i] {
-			t.Fatalf("query %d: Workers:1 %v vs default %v", i, serialBatch[i], defBatch[i])
+	for i, q := range testQueries(600) {
+		if s, d := loc.Locate(q), def.Locate(q); s != d {
+			t.Fatalf("query %d: Workers:1 %v vs default %v", i, s, d)
 		}
-		if serialBatch[i] != loc.Locate(qs[i]) {
-			t.Fatalf("query %d: batch %v vs single-point %v", i, serialBatch[i], loc.Locate(qs[i]))
-		}
-	}
-	hb1 := net.HeardByBatchOpts(qs, BatchOptions{Workers: 1})
-	hbN := net.HeardByBatch(qs)
-	for i := range qs {
-		if hb1[i] != hbN[i] {
-			t.Fatalf("HeardByBatch query %d: Workers:1 %d vs default %d", i, hb1[i], hbN[i])
-		}
-		idx, ok := net.HeardBy(qs[i])
-		want := NoStationHeard
-		if ok {
-			want = idx
-		}
-		if hb1[i] != want {
-			t.Fatalf("HeardByBatch query %d: got %d, HeardBy says %d", i, hb1[i], want)
-		}
-	}
-}
-
-// TestLocateBatchConcurrentCallers hammers one shared locator from
-// many goroutines, each running parallel batches — the -race target
-// for the query path.
-func TestLocateBatchConcurrentCallers(t *testing.T) {
-	net := testNetwork(t, 13, 10)
-	loc, err := net.BuildLocator(0.4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs := testQueries(500)
-	want := loc.LocateBatchOpts(qs, BatchOptions{Workers: 1})
-	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-	for c := 0; c < 8; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for rep := 0; rep < 3; rep++ {
-				got := loc.LocateBatchOpts(qs, BatchOptions{Workers: 4})
-				for i := range qs {
-					if got[i] != want[i] {
-						errs <- errors.New("concurrent batch answer diverged")
-						return
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	if err := <-errs; err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestLocateExactBatch checks the exact batch resolves every
-// uncertainty ring: answers match the point-by-point LocateExact and
-// never report H?.
-func TestLocateExactBatch(t *testing.T) {
-	net := testNetwork(t, 99, 8)
-	loc, err := net.BuildLocator(0.4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs := testQueries(800)
-	got := loc.LocateExactBatch(qs)
-	for i, q := range qs {
-		if got[i].Kind == Uncertain {
-			t.Fatalf("LocateExactBatch left query %d uncertain", i)
-		}
-		if want := loc.LocateExact(q); got[i] != want {
-			t.Fatalf("query %d: batch %v vs single-point %v", i, got[i], want)
-		}
-	}
-}
-
-// TestLocateStreamOrder feeds a stream and checks answers come back in
-// input order, one per point, equal to the batch answers.
-func TestLocateStreamOrder(t *testing.T) {
-	net := testNetwork(t, 5, 8)
-	loc, err := net.BuildLocator(0.4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs := testQueries(1500) // > streamChunk, forcing multiple jobs
-	want := loc.LocateBatchOpts(qs, BatchOptions{Workers: 1})
-
-	in := make(chan geom.Point)
-	out := loc.LocateStreamOpts(context.Background(), in, BatchOptions{Workers: 4})
-	go func() {
-		for _, q := range qs {
-			in <- q
-		}
-		close(in)
-	}()
-	i := 0
-	for got := range out {
-		if i >= len(qs) {
-			t.Fatalf("stream produced more than %d answers", len(qs))
-		}
-		if got != want[i] {
-			t.Fatalf("stream answer %d: got %v, want %v", i, got, want[i])
-		}
-		i++
-	}
-	if i != len(qs) {
-		t.Fatalf("stream produced %d answers, want %d", i, len(qs))
-	}
-}
-
-// TestLocateStreamCancel cancels mid-stream and checks the output
-// channel closes rather than wedging the pipeline.
-func TestLocateStreamCancel(t *testing.T) {
-	net := testNetwork(t, 5, 8)
-	loc, err := net.BuildLocator(0.4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	in := make(chan geom.Point)
-	out := loc.LocateStreamOpts(ctx, in, BatchOptions{Workers: 2})
-	qs := testQueries(100)
-	go func() {
-		for _, q := range qs {
-			select {
-			case in <- q:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	n := 0
-	for range out {
-		n++
-		if n == 10 {
-			cancel()
-		}
-	}
-	if n < 10 {
-		t.Fatalf("stream closed after %d answers, before cancellation point", n)
 	}
 }
 
@@ -241,8 +96,8 @@ func TestParallelBuildErrorMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, serialErr := nets.BuildLocatorOpts(0.4, BuildOptions{Workers: 1})
-	_, parErr := nets.BuildLocatorOpts(0.4, BuildOptions{Workers: 4})
+	_, serialErr := BuildLocatorOpts(nets, 0.4, BuildOptions{Workers: 1})
+	_, parErr := BuildLocatorOpts(nets, 0.4, BuildOptions{Workers: 4})
 	if serialErr == nil || parErr == nil {
 		t.Fatal("beta <= 1 build must fail")
 	}

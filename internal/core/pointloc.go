@@ -40,6 +40,12 @@ type Location struct {
 	Station int // meaningful for Reception and Uncertain
 }
 
+// NoStationHeard is the station index that index-shaped answers (the
+// resolver wire shape, reception-map pixels) report for a point where
+// no station is heard. It matches raster.NoStation, so flattened
+// answers can be written straight into a reception map.
+const NoStationHeard = -1
+
 // Locator is the Theorem 3 data structure DS: a nearest-station index
 // (Observation 2.2 reduces the candidate set to the Voronoi owner)
 // combined with one QDS per station. Total size O(n * eps^-1), built
@@ -67,13 +73,13 @@ type Locator struct {
 // BuildLocatorOpts to pick the worker count explicitly. The result is
 // identical to the serial build for any worker count.
 func (n *Network) BuildLocator(eps float64) (*Locator, error) {
-	return n.BuildLocatorOpts(eps, BuildOptions{})
+	return BuildLocatorOpts(n, eps, BuildOptions{})
 }
 
 // BuildLocatorOpts is BuildLocator with explicit build options.
 // Workers: 1 reproduces the seed's serial build exactly;
 // Workers: 0 means DefaultWorkers().
-func (n *Network) BuildLocatorOpts(eps float64, opt BuildOptions) (*Locator, error) {
+func BuildLocatorOpts(n *Network, eps float64, opt BuildOptions) (*Locator, error) {
 	loc := &Locator{
 		net:  n,
 		tree: kdtree.New(n.stations),

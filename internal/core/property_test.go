@@ -162,11 +162,11 @@ func TestQuickIndexedLocateMatchesScan(t *testing.T) {
 		}
 		net := mustNet(t, stations, 0.01, 1.5+rng.Float64()*3)
 		eps := []float64{0.5, 0.2, 0.1}[rng.Intn(3)]
-		indexed, err := net.BuildLocatorOpts(eps, BuildOptions{Workers: 1})
+		indexed, err := BuildLocatorOpts(net, eps, BuildOptions{Workers: 1})
 		if err != nil {
 			t.Fatalf("trial %d: indexed build: %v", trial, err)
 		}
-		plain, err := net.BuildLocatorOpts(eps, BuildOptions{Workers: 1, NoSpatialIndex: true})
+		plain, err := BuildLocatorOpts(net, eps, BuildOptions{Workers: 1, NoSpatialIndex: true})
 		if err != nil {
 			t.Fatalf("trial %d: plain build: %v", trial, err)
 		}

@@ -130,7 +130,7 @@ func TestApplyEquivalentToFromScratch(t *testing.T) {
 					if err != nil {
 						t.Fatalf("event %d: from-scratch locator: %v", evi, err)
 					}
-					noIdx, err := scratch.BuildLocatorOpts(testEps, core.BuildOptions{NoSpatialIndex: true})
+					noIdx, err := core.BuildLocatorOpts(scratch, testEps, core.BuildOptions{NoSpatialIndex: true})
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -110,7 +110,7 @@ func MeasureHotPath(sizes []int, queries, workers int) ([]HotPathBenchRow, error
 			return nil, err
 		}
 		t0 := time.Now()
-		loc, err := net.BuildLocatorOpts(HotPathEps, core.BuildOptions{Workers: workers})
+		loc, err := core.BuildLocatorOpts(net, HotPathEps, core.BuildOptions{Workers: workers})
 		if err != nil {
 			return nil, err
 		}

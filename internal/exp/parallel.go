@@ -1,12 +1,14 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/geom"
+	"repro/internal/resolve"
 	"repro/internal/workload"
 )
 
@@ -17,7 +19,7 @@ type ParallelTiming struct {
 	SerialBuild   time.Duration
 	ParallelBuild time.Duration
 	SerialQuery   time.Duration // per op, single-point Locate loop
-	BatchQuery    time.Duration // per op, LocateBatch shards
+	BatchQuery    time.Duration // per op, LocatorResolver.ResolveBatch shards
 }
 
 // MeasureParallelScaling measures the concurrency layer: serial vs
@@ -38,39 +40,41 @@ func MeasureParallelScaling(sizes []int, workers, queries int) ([]ParallelTiming
 		box := geom.NewBox(geom.Pt(-6, -6), geom.Pt(6, 6))
 		qs := gen.QueryPoints(queries, box)
 
+		// Without exact fallback the pooled batch answers the
+		// approximate Theorem 3 question the serial loop asks.
+		opts := []resolve.Option{resolve.WithEpsilon(0.2), resolve.WithExactFallback(false)}
+		serial, err := resolve.NewLocator(net, append(opts, resolve.WithWorkers(1))...)
+		if err != nil {
+			return nil, err
+		}
+		pooled, err := resolve.NewLocator(net, append(opts, resolve.WithWorkers(workers))...)
+		if err != nil {
+			return nil, err
+		}
+
+		serialLoc := serial.Locator()
 		start := time.Now()
-		serial, err := net.BuildLocatorOpts(0.2, core.BuildOptions{Workers: 1})
-		if err != nil {
-			return nil, err
-		}
-		serialBuild := time.Since(start)
-
-		start = time.Now()
-		par, err := net.BuildLocatorOpts(0.2, core.BuildOptions{Workers: workers})
-		if err != nil {
-			return nil, err
-		}
-		parBuild := time.Since(start)
-
-		start = time.Now()
 		for _, p := range qs {
-			serial.Locate(p)
+			serialLoc.Locate(p)
 		}
 		serialQuery := time.Since(start) / time.Duration(len(qs))
 
+		answers := make([]core.Location, len(qs))
 		start = time.Now()
-		answers := par.LocateBatchOpts(qs, core.BatchOptions{Workers: workers})
+		if err := pooled.ResolveBatch(context.Background(), qs, answers); err != nil {
+			return nil, err
+		}
 		batchQuery := time.Since(start) / time.Duration(len(qs))
 
 		for i, p := range qs {
-			if answers[i] != serial.Locate(p) {
+			if answers[i] != serialLoc.Locate(p) {
 				return nil, fmt.Errorf("exp: parallel batch answer diverges from serial build at n=%d query %d", n, i)
 			}
 		}
 
 		out = append(out, ParallelTiming{
 			N: n, Workers: workers,
-			SerialBuild: serialBuild, ParallelBuild: parBuild,
+			SerialBuild: serial.Stats().BuildCost, ParallelBuild: pooled.Stats().BuildCost,
 			SerialQuery: serialQuery, BatchQuery: batchQuery,
 		})
 	}

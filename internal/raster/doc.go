@@ -5,9 +5,8 @@
 // and pixelwise diffs between two models (the UDG-vs-SINR comparisons
 // of Figures 2-4).
 //
-// Rendering shards pixel rows over a worker pool (Options.Workers)
-// and feeds models implementing BatchModel — core.Network and
-// core.Locator — whole rows at a time, so regenerating the paper's
-// figures scales with the available cores while producing identical
-// pixels at every worker count.
+// Rendering shards pixel rows over a worker pool (Options.Workers) and
+// asks the model one pixel center at a time, so regenerating the
+// paper's figures scales with the available cores while producing
+// identical pixels at every worker count.
 package raster

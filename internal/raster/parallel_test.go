@@ -42,36 +42,6 @@ func TestRenderWorkerDeterminism(t *testing.T) {
 	}
 }
 
-// TestRenderBatchPathMatchesModelPath pins the BatchModel fast path:
-// core.Network implements HeardByBatchInto, so Render takes the
-// row-batch route; a wrapper hiding the batch method forces the
-// point-by-point route. Both must paint the same picture.
-func TestRenderBatchPathMatchesModelPath(t *testing.T) {
-	n := threeStationNet(t)
-	box := geom.NewBox(geom.Pt(-4, -4), geom.Pt(4, 4))
-	batch, err := Render(n, box, 50, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow, err := Render(modelOnly{n}, box, 50, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range batch.Pixels {
-		if batch.Pixels[i] != slow.Pixels[i] {
-			t.Fatalf("pixel %d: batch path %d, interface path %d", i, batch.Pixels[i], slow.Pixels[i])
-		}
-	}
-}
-
-// modelOnly strips every method but the Model interface, defeating the
-// BatchModel type assertion.
-type modelOnly struct{ n *core.Network }
-
-func (m modelOnly) NumStations() int                 { return m.n.NumStations() }
-func (m modelOnly) HeardBy(p geom.Point) (int, bool) { return m.n.HeardBy(p) }
-func (m modelOnly) Station(i int) geom.Point         { return m.n.Station(i) }
-
 // TestRenderViaLocator rasterizes through the Theorem 3 structure —
 // the service-style figure path — and checks it reproduces the
 // ground-truth reception map exactly: LocateExact resolves every

@@ -19,16 +19,6 @@ type Model interface {
 	HeardBy(p geom.Point) (int, bool)
 }
 
-// BatchModel is the optional fast path a model can provide: resolve a
-// whole slice of points serially, writing the heard station index (or
-// NoStation) into dst. core.Network and core.Locator implement it
-// (core.NoStationHeard == NoStation); the renderer aims it directly at
-// pixel rows, skipping the per-point interface calls.
-type BatchModel interface {
-	Model
-	HeardByBatchInto(ps []geom.Point, dst []int)
-}
-
 // NoStation marks pixels where no station is heard.
 const NoStation = -1
 
@@ -61,9 +51,7 @@ func Render(m Model, box geom.Box, width, height int) (*ReceptionMap, error) {
 }
 
 // RenderOpts is Render with explicit options. Rows are independent, so
-// any worker count produces identical pixels; models implementing
-// BatchModel are fed whole rows at a time through a per-worker scratch
-// buffer of pixel-center points.
+// any worker count produces identical pixels.
 func RenderOpts(m Model, box geom.Box, width, height int, opt Options) (*ReceptionMap, error) {
 	if width < 2 || height < 2 {
 		return nil, errors.New("raster: need at least 2x2 pixels")
@@ -83,22 +71,10 @@ func RenderOpts(m Model, box geom.Box, width, height int, opt Options) (*Recepti
 			rm.Stations = append(rm.Stations, sa.Station(i))
 		}
 	}
-	bm, batch := m.(BatchModel)
 	renderRows := func(rowLo, rowHi int) {
-		var pts []geom.Point
-		if batch {
-			pts = make([]geom.Point, width)
-		}
 		for row := rowLo; row < rowHi; row++ {
 			y := box.Max.Y - (float64(row)+0.5)*box.Height()/float64(height)
 			dst := rm.Pixels[row*width : (row+1)*width]
-			if batch {
-				for col := 0; col < width; col++ {
-					pts[col] = geom.Pt(box.Min.X+(float64(col)+0.5)*box.Width()/float64(width), y)
-				}
-				bm.HeardByBatchInto(pts, dst)
-				continue
-			}
 			for col := 0; col < width; col++ {
 				x := box.Min.X + (float64(col)+0.5)*box.Width()/float64(width)
 				idx := NoStation

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/geom"
-	"repro/internal/kdtree"
 	"repro/internal/udg"
 )
 
@@ -63,85 +62,38 @@ func NewLocator(net *core.Network, opts ...Option) (*LocatorResolver, error) {
 		return nil, err
 	}
 	start := time.Now() //sinr:nondeterministic-ok BuildCost wall-clock telemetry; never feeds resolver answers
-	loc, err := net.BuildLocatorOpts(c.eps, core.BuildOptions{
-		Workers:        c.workers,
-		NoSpatialIndex: !c.spatialIndex,
-	})
+	loc, err := core.BuildLocatorOpts(net, c.eps, core.BuildOptions{Workers: c.workers})
 	if err != nil {
 		return nil, err
 	}
-	return wrapLocator(loc, c, time.Since(start)), nil //sinr:nondeterministic-ok BuildCost wall-clock telemetry; never feeds resolver answers
-}
-
-func wrapLocator(loc *core.Locator, c config, buildCost time.Duration) *LocatorResolver {
-	r := &LocatorResolver{loc: loc}
+	buildCost := time.Since(start) //sinr:nondeterministic-ok BuildCost wall-clock telemetry; never feeds resolver answers
 	fn := loc.Locate
 	if c.exactFallback {
 		fn = loc.LocateExact
 	}
+	// The build above always carries the spatial index; only a
+	// core.BuildOptions{NoSpatialIndex: true} build, which no resolver
+	// makes, lacks it.
+	sx := loc.SpatialIndex().Stats()
 	stats := Stats{
-		Kind:          KindLocator,
-		Stations:      loc.NumStations(),
-		Workers:       c.workers,
-		Eps:           loc.Eps(),
-		ExactFallback: c.exactFallback,
-		UncertainSize: loc.NumUncertainCells(),
-		BuildCost:     buildCost,
+		Kind:            KindLocator,
+		Stations:        loc.NumStations(),
+		Workers:         c.workers,
+		Eps:             loc.Eps(),
+		ExactFallback:   c.exactFallback,
+		UncertainSize:   loc.NumUncertainCells(),
+		SpatialIndex:    true,
+		IndexCells:      sx.Cols * sx.Rows,
+		IndexOccupied:   sx.Occupied,
+		IndexMaxPerCell: sx.MaxPerCell,
+		IndexAvgPerCell: sx.AvgPerCell,
+		BuildCost:       buildCost,
 	}
-	if sx := loc.SpatialIndex(); sx != nil {
-		s := sx.Stats()
-		stats.SpatialIndex = true
-		stats.IndexCells = s.Cols * s.Rows
-		stats.IndexOccupied = s.Occupied
-		stats.IndexMaxPerCell = s.MaxPerCell
-		stats.IndexAvgPerCell = s.AvgPerCell
-	}
-	r.engine = engine{fn: fn, workers: c.workers, stats: stats}
-	return r
+	return &LocatorResolver{engine: engine{fn: fn, workers: c.workers, stats: stats}, loc: loc}, nil
 }
 
 // Locator returns the underlying Theorem 3 structure.
 func (r *LocatorResolver) Locator() *core.Locator { return r.loc }
-
-// VoronoiResolver is the paper's O(n)-query baseline promoted to the
-// common interface (Network.VoronoiLocate): a kd-tree nearest-station
-// lookup identifies the unique candidate (Observation 2.2), and one
-// direct SINR evaluation settles it. Exact, O(n log n) preprocessing,
-// O(n) per query (the single SINR evaluation dominates the O(log n)
-// lookup). Under per-station powers the candidate is the
-// strongest-signal station instead (an O(n) pass), and beta <= 1
-// networks, where several stations may be heard, take the scan.
-type VoronoiResolver struct {
-	engine
-	net  *core.Network
-	tree *kdtree.Tree
-}
-
-// NewVoronoi builds the nearest-station index for net and wraps it.
-// Only WithWorkers applies.
-func NewVoronoi(net *core.Network, opts ...Option) (*VoronoiResolver, error) {
-	c, err := newConfig(opts)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now() //sinr:nondeterministic-ok BuildCost wall-clock telemetry; never feeds resolver answers
-	tree := kdtree.New(net.Stations())
-	r := &VoronoiResolver{net: net, tree: tree}
-	r.engine = engine{
-		fn:      func(p geom.Point) core.Location { return net.VoronoiLocate(p, tree) },
-		workers: c.workers,
-		stats: Stats{
-			Kind:      KindVoronoi,
-			Stations:  net.NumStations(),
-			Workers:   c.workers,
-			BuildCost: time.Since(start), //sinr:nondeterministic-ok BuildCost wall-clock telemetry; never feeds resolver answers
-		},
-	}
-	return r, nil
-}
-
-// Network returns the underlying network.
-func (r *VoronoiResolver) Network() *core.Network { return r.net }
 
 // UDGResolver answers under the graph-based UDG/protocol rule the
 // paper argues against: station i is heard at p iff p is within the

@@ -10,8 +10,13 @@
 // (Observation 2.2 plus one SINR evaluation), and the graph-based
 // UDG/protocol model the paper argues against. This package gives each
 // of them the same surface — ExactResolver, LocatorResolver,
-// VoronoiResolver, UDGResolver — so serving paths, benchmarks and
-// experiments can swap backends per request instead of per code path.
+// SnapshotResolver (the voronoi and dynamic kinds), UDGResolver — so
+// serving paths, benchmarks and experiments can swap backends per
+// request instead of per code path. New(KindVoronoi, net) answers from
+// the first epoch snapshot of a dynamic engine over net, the one
+// single-candidate engine the serving layer also uses. ResolveBatch and
+// ResolveStream are the repository's only batch and stream query
+// paths; the types underneath answer one point at a time.
 //
 // All resolvers are immutable once constructed and safe for concurrent
 // use from any number of goroutines. Construction goes through
@@ -32,7 +37,7 @@
 // express the same answer as (0, false). This paragraph is the single
 // authoritative statement of that contract; per-method docs refer here.
 //
-// Exact resolvers (ExactResolver, VoronoiResolver, LocatorResolver
+// Exact resolvers (ExactResolver, SnapshotResolver, LocatorResolver
 // with exact fallback, UDGResolver) never return core.Uncertain; only
 // a LocatorResolver built with WithExactFallback(false) surfaces the
 // Theorem 3 H? ring to its caller.

@@ -3,6 +3,7 @@ package resolve
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/dynamic"
@@ -43,6 +44,27 @@ func NewDynamicSnapshot(snap *dynamic.Snapshot, opts ...Option) (*SnapshotResolv
 
 // Snapshot returns the pinned epoch.
 func (r *SnapshotResolver) Snapshot() *dynamic.Snapshot { return r.snap }
+
+// newVoronoi builds the voronoi backend: the first epoch snapshot of a
+// dynamic engine over net, the engine the serving layer answers the
+// voronoi kind with. Its answer is Observation 2.2's single candidate
+// (the nearest station, or the strongest signal under per-station
+// powers) settled by one SINR check, with the scan for beta <= 1.
+// Only WithWorkers applies.
+func newVoronoi(net *core.Network, opts ...Option) (*SnapshotResolver, error) {
+	start := time.Now() //sinr:nondeterministic-ok BuildCost wall-clock telemetry; never feeds resolver answers
+	dyn, err := dynamic.New(net)
+	if err != nil {
+		return nil, err
+	}
+	r, err := NewDynamicSnapshot(dyn.Snapshot(), opts...)
+	if err != nil {
+		return nil, err
+	}
+	r.stats.Kind = KindVoronoi
+	r.stats.BuildCost = time.Since(start) //sinr:nondeterministic-ok BuildCost wall-clock telemetry; never feeds resolver answers
+	return r, nil
+}
 
 func dynamicStats(snap *dynamic.Snapshot, workers int) Stats {
 	return Stats{

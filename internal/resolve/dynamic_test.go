@@ -2,6 +2,7 @@ package resolve
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -198,6 +199,56 @@ func TestOffNearestPathNetworks(t *testing.T) {
 			}
 			if got := batchOf(t, r, []geom.Point{tc.p}); got[0] != want {
 				t.Errorf("%v %v: ResolveBatch(%v) = %+v, want %+v", tc.net, r.Stats().Kind, tc.p, got[0], want)
+			}
+		}
+	}
+}
+
+// TestVoronoiMatchesHeardBy pins the voronoi backend, which answers
+// from the first epoch snapshot of a dynamic engine over the network,
+// to the scan oracle on each regime its candidate rule distinguishes:
+// uniform power (nearest station), log-normal powers (strongest
+// signal) and beta <= 1 (the scan), on uniform and station-adjacent
+// query points.
+func TestVoronoiMatchesHeardBy(t *testing.T) {
+	gen := workload.NewGenerator(909)
+	box := geom.NewBox(geom.Pt(-5, -5), geom.Pt(5, 5))
+	pts, err := gen.UniformSeparated(16, box, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	powers := make([]float64, len(pts))
+	for i := range powers {
+		powers[i] = math.Exp(gen.Float64()*2 - 1)
+	}
+	uniform, err := core.NewUniform(pts, 0.01, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logNormal, err := core.NewNetwork(pts, 0.01, 3, core.WithPowers(powers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lowBeta, err := core.NewUniform(pts, 0.01, 0.8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, net := range []*core.Network{uniform, logNormal, lowBeta} {
+		r, err := New(KindVoronoi, net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k := r.Stats().Kind; k != KindVoronoi {
+			t.Fatalf("New(KindVoronoi).Stats().Kind = %v", k)
+		}
+		qs := testQueries(t, net, 2000, 910)
+		for i, got := range batchOf(t, r, qs) {
+			want := core.NoStationHeard
+			if idx, ok := net.HeardBy(qs[i]); ok {
+				want = idx
+			}
+			if StationIndex(got) != want {
+				t.Fatalf("%v: voronoi answer %+v at %v, HeardBy says %d", net, got, qs[i], want)
 			}
 		}
 	}

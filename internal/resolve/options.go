@@ -15,7 +15,6 @@ type config struct {
 	workers       int
 	eps           float64
 	exactFallback bool
-	spatialIndex  bool
 	connRadius    float64
 	interfRadius  float64
 }
@@ -29,7 +28,7 @@ type Option func(*config) error
 // newConfig applies opts over the defaults: one worker per CPU,
 // DefaultEps, exact fallback on, UDG radii derived from the network.
 func newConfig(opts []Option) (config, error) {
-	c := config{eps: DefaultEps, exactFallback: true, spatialIndex: true}
+	c := config{eps: DefaultEps, exactFallback: true}
 	for _, opt := range opts {
 		if err := opt(&c); err != nil {
 			return c, err
@@ -76,21 +75,6 @@ func WithEpsilon(eps float64) Option {
 func WithExactFallback(on bool) Option {
 	return func(c *config) error {
 		c.exactFallback = on
-		return nil
-	}
-}
-
-// WithSpatialIndex controls whether a LocatorResolver's Theorem 3
-// structure carries the sharded spatial index over per-station zone
-// cover boxes (default true): with it, queries outside every zone —
-// the common case over the mostly empty plane — are answered H- from
-// one grid-cell lookup, and the kd-tree nearest-station check becomes
-// the residual filter for covered points. Answers are identical with
-// and without the index; disabling it exists for benchmarking the
-// pre-index path. Other backends ignore the option.
-func WithSpatialIndex(on bool) Option {
-	return func(c *config) error {
-		c.spatialIndex = on
 		return nil
 	}
 }

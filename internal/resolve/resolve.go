@@ -89,8 +89,8 @@ type Stats struct {
 	Workers  int // batch/stream worker count (0 = one per CPU)
 
 	// Epoch is the dynamic-network epoch the resolver answers from
-	// (dynamic backend only; a DynamicResolver reports the epoch
-	// current at the Stats call).
+	// (dynamic and voronoi backends only; a DynamicResolver reports
+	// the epoch current at the Stats call).
 	Epoch uint64
 
 	Eps           float64 // locator performance parameter
@@ -98,10 +98,10 @@ type Stats struct {
 	UncertainSize int     // locator: total |T?| across stations
 
 	// Spatial-index self-description (locator-only; zero when the
-	// index is disabled or the backend has none). IndexCells is the
-	// grid size, IndexOccupied the cells with at least one candidate
-	// station, IndexMaxPerCell the worst-case candidate list a query
-	// can hit and IndexAvgPerCell the mean over occupied cells.
+	// backend has none). IndexCells is the grid size, IndexOccupied
+	// the cells with at least one candidate station, IndexMaxPerCell
+	// the worst-case candidate list a query can hit and
+	// IndexAvgPerCell the mean over occupied cells.
 	SpatialIndex    bool
 	IndexCells      int
 	IndexOccupied   int
@@ -201,7 +201,7 @@ func New(kind Kind, net *core.Network, opts ...Option) (Resolver, error) {
 	case KindLocator:
 		return NewLocator(net, opts...)
 	case KindVoronoi:
-		return NewVoronoi(net, opts...)
+		return newVoronoi(net, opts...)
 	case KindUDG:
 		return NewUDG(net, opts...)
 	case KindDynamic:

@@ -71,7 +71,7 @@ func streamOf(t *testing.T, r Resolver, pts []geom.Point) []core.Location {
 
 // TestCrossBackendEquivalence is the cross-backend property test: on
 // random uniform networks, ExactResolver, LocatorResolver with exact
-// fallback and VoronoiResolver return identical answers point-for-
+// fallback and the voronoi backend return identical answers point-for-
 // point, and for EVERY resolver (UDG included) the single-point,
 // batch and stream paths agree with each other.
 func TestCrossBackendEquivalence(t *testing.T) {
@@ -93,7 +93,7 @@ func TestCrossBackendEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		voronoi, err := NewVoronoi(net)
+		voronoi, err := New(KindVoronoi, net)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,6 +201,16 @@ func TestNewAndParseKind(t *testing.T) {
 			if st.Eps != 0.2 || !st.ExactFallback || st.BuildCost <= 0 {
 				t.Fatalf("locator stats = %+v", st)
 			}
+			// The Theorem 3 structure always carries its spatial index,
+			// and the stats describe it.
+			if !st.SpatialIndex || st.IndexCells <= 0 || st.IndexOccupied <= 0 ||
+				st.IndexMaxPerCell <= 0 || st.IndexAvgPerCell <= 0 {
+				t.Fatalf("locator stats lack the index description: %+v", st)
+			}
+		case KindVoronoi:
+			if st.Epoch != 1 || st.BuildCost <= 0 {
+				t.Fatalf("voronoi stats = %+v, want the first epoch and a build cost", st)
+			}
 		case KindUDG:
 			if st.ConnRadius != 1.5 || st.InterfRadius != 1.5 {
 				t.Fatalf("udg stats = %+v", st)
@@ -264,35 +274,5 @@ func TestOptionValidation(t *testing.T) {
 	}
 	if r, err := NewUDG(net, WithRadius(1), WithInterfRadius(2)); err != nil || r.Stats().InterfRadius != 2 {
 		t.Fatalf("quasi-UDG: %v, %+v", err, r.Stats())
-	}
-}
-
-// TestWithSpatialIndex checks the index knob: on by default with
-// stats exported, off on request, and answer-identical either way.
-func TestWithSpatialIndex(t *testing.T) {
-	net := testNetwork(t, 12, 808)
-	on, err := NewLocator(net, WithWorkers(1), WithEpsilon(0.2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	off, err := NewLocator(net, WithWorkers(1), WithEpsilon(0.2), WithSpatialIndex(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := on.Stats(); !s.SpatialIndex || s.IndexCells <= 0 || s.IndexOccupied <= 0 ||
-		s.IndexMaxPerCell <= 0 || s.IndexAvgPerCell <= 0 {
-		t.Fatalf("default locator stats lack index description: %+v", s)
-	}
-	if s := off.Stats(); s.SpatialIndex || s.IndexCells != 0 || s.IndexOccupied != 0 {
-		t.Fatalf("WithSpatialIndex(false) stats still describe an index: %+v", s)
-	}
-	if on.Locator().SpatialIndex() == nil || off.Locator().SpatialIndex() != nil {
-		t.Fatal("index presence does not match the option")
-	}
-	ctx := context.Background()
-	for _, p := range testQueries(t, net, 2000, 809) {
-		if got, want := on.Resolve(ctx, p), off.Resolve(ctx, p); got != want {
-			t.Fatalf("Resolve(%v) indexed %+v != plain %+v", p, got, want)
-		}
 	}
 }

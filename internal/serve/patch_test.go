@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -159,6 +160,62 @@ func TestPatchErrors(t *testing.T) {
 	got := decodeJSON[NetworkResponse](t, patchJSON(t, ts, "p", NetworkDeltaRequest{Add: []DeltaStationJSON{{X: 0.5, Y: 0.5}}}))
 	if got.Version != 2 {
 		t.Fatalf("version %d after rejected deltas, want 2", got.Version)
+	}
+}
+
+// rawRequest sends body verbatim, so a test can put bytes after the
+// JSON document that json.Marshal would never produce.
+func rawRequest(t *testing.T, ts *httptest.Server, method, path, body string) *http.Response {
+	t.Helper()
+	req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
+// TestPatchTrailingDeltaRejected pins one delta per PATCH body: two
+// concatenated deltas answer 400 and apply neither, so the version and
+// the station count stay where they were. A trailing newline after a
+// single delta stays valid.
+func TestPatchTrailingDeltaRejected(t *testing.T) {
+	ts := httptest.NewServer(NewServer(Options{Workers: 1}))
+	defer ts.Close()
+	postJSON(t, ts, "/v1/networks", registerReq("n", testStations(t, 4, 43), 0.01, 3)).Body.Close()
+
+	state := func() (string, int) {
+		t.Helper()
+		resp, err := ts.Client().Get(ts.URL + "/v1/networks/n")
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := decodeJSON[NetworkSpec](t, resp)
+		return resp.Header.Get("Sinr-Network-Version"), len(spec.Stations)
+	}
+	ver, stations := state()
+
+	resp := rawRequest(t, ts, http.MethodPatch, "/v1/networks/n",
+		`{"add":[{"x":9,"y":9}]}{"add":[{"x":-9,"y":-9}]}`)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("two concatenated deltas: %s, want 400", resp.Status)
+	}
+	if v, n := state(); v != ver || n != stations {
+		t.Fatalf("rejected body changed the network: version %s -> %s, stations %d -> %d", ver, v, stations, n)
+	}
+
+	resp = rawRequest(t, ts, http.MethodPatch, "/v1/networks/n", "{\"add\":[{\"x\":9,\"y\":9}]}\n")
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("one delta and a trailing newline: %s, want 200", resp.Status)
+	}
+	if _, n := state(); n != stations+1 {
+		t.Fatalf("%d stations after one added, want %d", n, stations+1)
 	}
 }
 
@@ -355,7 +412,7 @@ func TestExactKindsNeverTouchTheCache(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		truth[v] = net.HeardByBatch(probes)
+		truth[v] = heardAll(net, probes)
 	}
 	postJSON(t, ts, "/v1/networks", registerReq("bypass", base, 0.01, 3)).Body.Close()
 

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"math"
 	"net/http"
@@ -362,17 +363,26 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 // reporting whether the caller can proceed; on failure the error
 // response (400, or 413 for an oversized body) has been written.
 func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
-	body := http.MaxBytesReader(w, r.Body, limit)
-	if err := json.NewDecoder(body).Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
-			return false
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	err := dec.Decode(v)
+	if err == nil {
+		// A body is one document: content after it is rejected, not
+		// dropped, so a second PATCH delta appended to the first is
+		// never half-applied. Trailing whitespace reads as io.EOF.
+		if _, err = dec.Token(); err == io.EOF {
+			return true
 		}
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		if !errors.As(err, new(*http.MaxBytesError)) {
+			err = errors.New("trailing content after the JSON document")
+		}
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
 		return false
 	}
-	return true
+	writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	return false
 }
 
 // handleNetworks serves POST (register/replace) and GET (list).
@@ -620,8 +630,9 @@ func (s *Server) resolverFor(tr *trace.Trace, entry *netEntry, spec resolverSpec
 		return snap, snap.exact, kind, 0, nil
 	case resolve.KindVoronoi, resolve.KindDynamic:
 		// Both are one candidate station plus one SINR check
-		// (Observation 2.2), and the epoch snapshot's answers equal the
-		// voronoi backend's point for point, so the kinds share it.
+		// (Observation 2.2) answered from the epoch snapshot, which is
+		// what resolve.New builds for the voronoi kind too, so the kinds
+		// share the generation's snapshot resolver.
 		return snap, snap.dynamic, kind, 0, nil
 	case resolve.KindLocator:
 		eps = spec.eps
@@ -921,7 +932,7 @@ func (s *Server) handleLocateStream(w http.ResponseWriter, r *http.Request) {
 		// Flush on batch boundaries and whenever no answer is
 		// immediately pending, so a request/response-lockstep client
 		// sees each answer without waiting for the 4K response buffer
-		// to fill (mirroring LocateStream's trickle-flush design).
+		// to fill (mirroring par.Stream's trickle-flush design).
 		if n++; n%flushEvery == 0 || len(out) == 0 {
 			_ = rc.Flush()
 		}

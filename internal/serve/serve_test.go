@@ -40,6 +40,19 @@ func registerReq(name string, stations []geom.Point, noise, beta float64) Networ
 	return req
 }
 
+// heardAll is the scan oracle over a slice in the wire shape: the
+// station Network.HeardBy hears at each point, or core.NoStationHeard.
+func heardAll(net *core.Network, pts []geom.Point) []int {
+	out := make([]int, len(pts))
+	for i, p := range pts {
+		out[i] = core.NoStationHeard
+		if idx, ok := net.HeardBy(p); ok {
+			out[i] = idx
+		}
+	}
+	return out
+}
+
 func postJSON(t *testing.T, ts *httptest.Server, path string, body any) *http.Response {
 	t.Helper()
 	b, err := json.Marshal(body)
@@ -102,7 +115,7 @@ func TestRegisterAndLocateMatchesHeardBy(t *testing.T) {
 	if len(out.Results) != len(pts) {
 		t.Fatalf("%d results for %d points", len(out.Results), len(pts))
 	}
-	want := net.HeardByBatch(pts)
+	want := heardAll(net, pts)
 	for i := range want {
 		if out.Results[i].Station != want[i] {
 			t.Fatalf("point %v: served %d, HeardBy %d", pts[i], out.Results[i].Station, want[i])
@@ -201,6 +214,42 @@ func TestBodySizeLimit(t *testing.T) {
 	resp.Body.Close()
 }
 
+// TestTrailingBodyContentRejected pins one JSON document per body on
+// every route that decodes one: content after the document answers
+// 400 instead of being dropped, while trailing whitespace is fine.
+func TestTrailingBodyContentRejected(t *testing.T) {
+	ts := httptest.NewServer(NewServer(Options{Workers: 1}))
+	defer ts.Close()
+	reg, err := json.Marshal(registerReq("tail", testStations(t, 4, 41), 0.01, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp := rawRequest(t, ts, http.MethodPost, "/v1/networks", string(reg)+" \n"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("register with trailing whitespace: %s", resp.Status)
+	} else {
+		resp.Body.Close()
+	}
+	locate := `{"network":"tail","resolver":"exact","points":[{"x":0,"y":0}]}`
+	for _, tc := range []struct{ name, path, body string }{
+		{"register", "/v1/networks", string(reg) + `{"name":"other"}`},
+		{"locate garbage", "/v1/locate", locate + " garbage"},
+		{"locate second document", "/v1/locate", locate + locate},
+		{"locate stray brace", "/v1/locate", locate + "}"},
+		{"schedule", "/v1/networks/tail/schedule", `{"scheduler":"greedy"} []`},
+	} {
+		resp := rawRequest(t, ts, http.MethodPost, tc.path, tc.body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: %s, want 400", tc.name, resp.Status)
+		}
+	}
+	resp := rawRequest(t, ts, http.MethodPost, "/v1/locate", locate+"\n")
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("locate with a trailing newline: %s, want 200", resp.Status)
+	}
+}
+
 // TestSingleFlightBuildDedup fires many concurrent first-touch requests
 // for the same (network, eps) and asserts the O(n^3/eps) build ran
 // exactly once.
@@ -269,7 +318,7 @@ func TestHotSwapUnderConcurrentQueries(t *testing.T) {
 	gen := workload.NewGenerator(13)
 	box := geom.NewBox(geom.Pt(-6, -6), geom.Pt(6, 6))
 	pts := gen.QueryPoints(200, box)
-	want := net.HeardByBatch(pts)
+	want := heardAll(net, pts)
 	reqBody, _ := json.Marshal(func() LocateRequest {
 		r := LocateRequest{Network: "swap", Eps: 0.1}
 		r.Points = make([]PointJSON, len(pts))
@@ -383,7 +432,7 @@ func TestLocateStreamEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("stream: %s", resp.Status)
 	}
-	want := net.HeardByBatch(pts)
+	want := heardAll(net, pts)
 	sc := bufio.NewScanner(resp.Body)
 	i := 0
 	for sc.Scan() {
@@ -662,7 +711,7 @@ func TestLocateEveryResolverKind(t *testing.T) {
 	box := geom.NewBox(geom.Pt(-6, -6), geom.Pt(6, 6))
 	pts := gen.QueryPoints(600, box)
 	pts = append(pts, stations...)
-	sinrWant := net.HeardByBatch(pts)
+	sinrWant := heardAll(net, pts)
 
 	for _, kind := range resolve.Kinds() {
 		local, err := resolve.New(kind, net)
@@ -802,7 +851,7 @@ func TestResolverHotSwapBetweenBackends(t *testing.T) {
 	if out.Resolver != "locator" {
 		t.Fatalf("pre-swap resolver %q", out.Resolver)
 	}
-	sinrWant := net.HeardByBatch(pts)
+	sinrWant := heardAll(net, pts)
 	for i := range pts {
 		if out.Results[i].Station != sinrWant[i] {
 			t.Fatalf("pre-swap answer %d: %d != %d", i, out.Results[i].Station, sinrWant[i])
@@ -870,7 +919,7 @@ func TestStreamResolverParam(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("stream: %s", resp.Status)
 	}
-	want := net.HeardByBatch(pts)
+	want := heardAll(net, pts)
 	sc := bufio.NewScanner(resp.Body)
 	i := 0
 	for sc.Scan() {

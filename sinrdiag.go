@@ -23,9 +23,9 @@
 //	answer := loc.Locate(sinrdiag.Pt(0.4, 0.2)) // H+ / H- / H?
 //
 // BuildLocator fans the per-station constructions out over one worker
-// per CPU (tune with BuildLocatorOpts), and query traffic can be
-// answered in bulk with LocateBatch / HeardByBatch or streamed through
-// LocateStream; every concurrent path returns answers identical to the
+// per CPU. Query traffic in bulk goes through a Resolver (below):
+// ResolveBatch shards a slice and ResolveStream runs an ordered live
+// pipeline, and every concurrent path returns answers identical to the
 // serial one. For serving query traffic as a long-running process, the
 // sinrserve binary (internal/serve) exposes the same engine over HTTP
 // with named-network registration, atomic hot swap and a single-flight
@@ -50,35 +50,23 @@
 //	                    with WithExactFallback(false); carries a
 //	                    sharded spatial index over zone cover boxes —
 //	                    points outside every zone resolve H- from one
-//	                    allocation-free grid lookup — disable with
-//	                    WithSpatialIndex(false))
-//	NewVoronoiResolver  single candidate + one SINR check (O(n)/query;
+//	                    allocation-free grid lookup)
+//	NewResolver(ResolverVoronoi, net)
+//	                    single candidate + one SINR check (O(n)/query;
 //	                    nearest, or strongest signal under per-station
-//	                    powers)
+//	                    powers), answered from the first epoch snapshot
+//	                    of a dynamic engine over net
 //	NewUDGResolver      graph-based UDG/protocol baseline (a different
 //	                    reception model; WithRadius / WithInterfRadius)
 //
 // Construction is by functional options (WithWorkers, WithEpsilon,
 // WithExactFallback, WithRadius, WithInterfRadius); network-level
 // parameters (powers, alpha) stay on the network constructors
-// (WithPowers, WithAlpha). The pre-Resolver entry points — HeardBy,
-// Locate/LocateExact, the *Batch/*Stream families and the
-// BuildOptions/BatchOptions structs — remain supported and delegate
-// to the same kernels, but new code should prefer a Resolver; see the
-// README migration table.
-//
-// # Migration: old API -> Resolver
-//
-//	Network.HeardBy(p)            NewExactResolver(net) + Resolve
-//	Network.HeardByBatch(ps)      NewExactResolver(net) + ResolveBatch
-//	Network.NaiveLocate(p)        NewExactResolver(net) + Resolve
-//	Network.VoronoiLocate(p, t)   NewVoronoiResolver(net) + Resolve
-//	BuildLocator + Locate         NewLocatorResolver(net, WithExactFallback(false))
-//	BuildLocator + LocateExact    NewLocatorResolver(net)
-//	BuildLocatorOpts{Workers}     NewLocatorResolver(net, WithWorkers(k))
-//	Locator.LocateBatch(ps)       LocatorResolver.ResolveBatch
-//	Locator.LocateStream(ctx,in)  LocatorResolver.ResolveStream
-//	udg baselines (internal)      NewUDGResolver(net, WithRadius(r))
+// (WithPowers, WithAlpha). The single-point entry points — HeardBy,
+// NaiveLocate, VoronoiLocate, Locate/LocateExact — stay as the
+// paper's algorithms and the test oracle; batches and streams go
+// through a Resolver only. The README maps each removed batch, stream
+// and options name to its Resolver replacement.
 //
 // # The no-station answer, in both shapes
 //
@@ -88,10 +76,10 @@
 //   - Single-point comma-ok APIs — Network.HeardBy, Locator.HeardBy —
 //     return (0, false). The index is meaningless when ok is false;
 //     always branch on ok, never on the index.
-//   - Batch, raster and serving APIs — HeardByBatch, HeardByBatchInto,
-//     raster pixels, the sinrserve wire format — have no second return
-//     per element, so they write the sentinel index NoStationHeard (-1)
-//     instead. Any index >= 0 in a batch answer is a heard station.
+//   - Index-shaped answers — StationIndex of a resolver answer, raster
+//     pixels, the sinrserve wire format — have no second return per
+//     element, so they carry the sentinel index NoStationHeard (-1)
+//     instead. Any index >= 0 in such an answer is a heard station.
 //
 // The two are interconvertible: comma-ok (i, true) corresponds to
 // batch answer i, and (_, false) to NoStationHeard. Batch answers never
@@ -193,26 +181,10 @@ type ThreeStationReport = core.ThreeStationReport
 type QDS = core.QDS
 
 // Locator is the combined Theorem 3 point-location data structure.
-// It is immutable once built: Locate, LocateBatch and LocateStream are
-// safe for concurrent use from any number of goroutines.
+// It is immutable once built: Locate, LocateExact and HeardBy are safe
+// for concurrent use from any number of goroutines. For batches and
+// streams, build a LocatorResolver (NewLocatorResolver) instead.
 type Locator = core.Locator
-
-// BuildOptions tunes locator construction (worker count of the
-// parallel per-station build; see Network.BuildLocatorOpts).
-//
-// Deprecated: new code should build a LocatorResolver with the
-// functional options WithEpsilon and WithWorkers instead; this struct
-// remains for the pre-Resolver entry points, which delegate to the
-// same build kernel.
-type BuildOptions = core.BuildOptions
-
-// BatchOptions tunes batch query execution (worker count the query
-// slice is sharded over; see Locator.LocateBatchOpts).
-//
-// Deprecated: new code should construct a Resolver with WithWorkers
-// and call ResolveBatch/ResolveStream; this struct remains for the
-// pre-Resolver entry points, which delegate to the same kernels.
-type BatchOptions = core.BatchOptions
 
 // Location is a point-location answer.
 type Location = core.Location
@@ -244,15 +216,15 @@ const (
 // the paper's theorems.
 const DefaultAlpha = core.DefaultAlpha
 
-// NoStationHeard is the sentinel index the batch primitives
-// (Network.HeardByBatch, Locator.HeardByBatchInto) and the serving
-// wire format report for points where no station is heard. It is the
-// batch-shaped equivalent of the comma-ok (0, false) answer of
-// Network.HeardBy — see the package comment for the mapping.
+// NoStationHeard is the sentinel index that StationIndex and the
+// serving wire format report for points where no station is heard.
+// It is the index-shaped equivalent of the comma-ok (0, false) answer
+// of Network.HeardBy — see the package comment for the mapping.
 const NoStationHeard = core.NoStationHeard
 
-// DefaultWorkers is the worker count used when a BuildOptions or
-// BatchOptions leaves Workers at zero: one per schedulable CPU.
+// DefaultWorkers is the worker count Network.BuildLocator fans out
+// over, and the one a resolver uses when WithWorkers is unset or zero:
+// one per schedulable CPU.
 func DefaultWorkers() int { return core.DefaultWorkers() }
 
 // NewNetwork builds a network with explicit noise and threshold;
@@ -330,11 +302,6 @@ type ExactResolver = resolve.ExactResolver
 // uncertainty rings exactly unless WithExactFallback(false).
 type LocatorResolver = resolve.LocatorResolver
 
-// VoronoiResolver answers via the single-candidate check of
-// Observation 2.2 plus one SINR evaluation (the nearest station, or
-// the strongest signal under per-station powers).
-type VoronoiResolver = resolve.VoronoiResolver
-
 // UDGResolver answers under the graph-based UDG/protocol rule — the
 // baseline reception model the paper argues against.
 type UDGResolver = resolve.UDGResolver
@@ -354,11 +321,6 @@ func NewExactResolver(net *Network, opts ...ResolverOption) (*ExactResolver, err
 // it (WithEpsilon, WithExactFallback, WithWorkers apply).
 func NewLocatorResolver(net *Network, opts ...ResolverOption) (*LocatorResolver, error) {
 	return resolve.NewLocator(net, opts...)
-}
-
-// NewVoronoiResolver builds the nearest-candidate baseline for net.
-func NewVoronoiResolver(net *Network, opts ...ResolverOption) (*VoronoiResolver, error) {
-	return resolve.NewVoronoi(net, opts...)
 }
 
 // NewUDGResolver builds the graph-based baseline over net's stations
@@ -386,17 +348,6 @@ func WithEpsilon(eps float64) ResolverOption { return resolve.WithEpsilon(eps) }
 // WithExactFallback controls whether a LocatorResolver settles H?
 // answers exactly (default true) or surfaces Uncertain to the caller.
 func WithExactFallback(on bool) ResolverOption { return resolve.WithExactFallback(on) }
-
-// WithSpatialIndex controls whether a LocatorResolver's Theorem 3
-// structure carries the sharded spatial index over per-station zone
-// cover boxes (default true): queries outside every zone are answered
-// H- from one grid-cell lookup, with the kd-tree nearest-station
-// check as the residual filter for covered points. Answers are
-// identical either way; the resolver's Stats describe the index
-// (SpatialIndex, IndexCells, IndexOccupied, IndexMaxPerCell,
-// IndexAvgPerCell). Disabling it exists for benchmarking the
-// pre-index path.
-func WithSpatialIndex(on bool) ResolverOption { return resolve.WithSpatialIndex(on) }
 
 // WithRadius sets a UDGResolver's connectivity radius (and its
 // interference radius, unless WithInterfRadius overrides it); zero
@@ -484,7 +435,9 @@ func NewDynamicNetwork(net *Network, opts ...DynamicOption) (*DynamicNetwork, er
 type DynamicResolver = resolve.DynamicResolver
 
 // SnapshotResolver answers every query from one pinned epoch snapshot
-// of a dynamic network; construction is O(1).
+// of a dynamic network; construction is O(1). NewResolver builds one
+// for the voronoi kind, over the first epoch of a fresh dynamic
+// engine.
 type SnapshotResolver = resolve.SnapshotResolver
 
 // ResolverDynamic identifies the dynamic epoch-snapshot backend.

@@ -136,9 +136,12 @@ func TestFacadeResolverDelegation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	voro, err := NewVoronoiResolver(net)
+	voro, err := NewResolver(ResolverVoronoi, net)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if k := voro.Stats().Kind; k != ResolverVoronoi {
+		t.Fatalf("voronoi resolver reports kind %v", k)
 	}
 	if locRes.Stats().Kind != ResolverLocator || locRes.Stats().Eps != 0.1 {
 		t.Fatalf("locator stats = %+v", locRes.Stats())

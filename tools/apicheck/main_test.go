@@ -7,12 +7,21 @@ import (
 	"testing"
 )
 
-// facadeSrc is a minimal stand-in facade package: two funcs, a type,
-// a const, plus an unexported symbol that must never reach the
-// baseline.
+// facadeSrc is a minimal stand-in facade package: two funcs, a type
+// with a pointer method and a method promoted from an unexported
+// embedded type, a const, plus unexported symbols that must never
+// reach the baseline.
 const facadeSrc = `package facade
 
-type Widget struct{}
+type base struct{}
+
+func (base) Name() string { return "" }
+
+func (base) reset() {}
+
+type Widget struct{ base }
+
+func (w *Widget) Spin() {}
 
 const MaxWidgets = 3
 
@@ -46,7 +55,7 @@ func TestWriteThenCheckRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := "const MaxWidgets\nfunc DynamicApply\nfunc NewWidget\ntype Widget\n"
+	want := "const MaxWidgets\nfunc DynamicApply\nfunc NewWidget\nmethod Widget.Name\nmethod Widget.Spin\ntype Widget\n"
 	if string(data) != want {
 		t.Fatalf("baseline = %q, want %q", data, want)
 	}
@@ -57,7 +66,7 @@ func TestWriteThenCheckRoundTrips(t *testing.T) {
 
 // TestRemovedSymbolFailsGate is the satellite regression case: a
 // baseline symbol with no surviving declaration — an export removed
-// without leaving a deprecated alias behind — must fail the gate.
+// without a regenerated baseline — must fail the gate.
 func TestRemovedSymbolFailsGate(t *testing.T) {
 	dir, baseline := writeFacade(t)
 	if err := run(dir, baseline, true); err != nil {
@@ -71,6 +80,28 @@ func TestRemovedSymbolFailsGate(t *testing.T) {
 	}
 	if err := run(dir, baseline, false); err == nil {
 		t.Fatal("gate passed with a baseline symbol removed and no alias left behind")
+	}
+}
+
+// TestRemovedMethodFailsGate is the method-level twin: deleting a
+// method from an exported type, its own or a promoted one, must fail
+// the gate just like deleting a top-level name.
+func TestRemovedMethodFailsGate(t *testing.T) {
+	for _, method := range []string{
+		"func (w *Widget) Spin() {}\n",
+		"func (base) Name() string { return \"\" }\n",
+	} {
+		dir, baseline := writeFacade(t)
+		if err := run(dir, baseline, true); err != nil {
+			t.Fatal(err)
+		}
+		src := strings.Replace(facadeSrc, method, "", 1)
+		if err := os.WriteFile(filepath.Join(dir, "facade.go"), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := run(dir, baseline, false); err == nil {
+			t.Fatalf("gate passed with %q removed", strings.TrimSpace(method))
+		}
 	}
 }
 
