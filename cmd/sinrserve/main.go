@@ -81,7 +81,6 @@ import (
 
 // config carries the flag values into run.
 type config struct {
-	addr         string
 	drainTimeout time.Duration
 	streamDrain  time.Duration
 	logRequests  bool
@@ -93,7 +92,7 @@ type config struct {
 
 func main() {
 	var cfg config
-	flag.StringVar(&cfg.addr, "addr", ":8080", "listen address")
+	addr := flag.String("addr", ":8080", "listen address")
 	flag.IntVar(&cfg.opt.MaxLocators, "max-locators", 8, "capacity of the LRU cache of locator and UDG resolvers")
 	flag.IntVar(&cfg.opt.Workers, "workers", 0, "worker pool size for builds and batch queries (0 = NumCPU)")
 	flag.Float64Var(&cfg.opt.DefaultEps, "default-eps", serve.DefaultEps, "locator eps for requests that omit it")
@@ -111,13 +110,30 @@ func main() {
 	flag.BoolVar(&cfg.opt.EnableDebugRequests, "debug-requests", false, "mount the flight recorder at /debug/requests")
 	flag.Parse()
 
-	if err := run(cfg); err != nil {
+	// Bind before announcing: the printed address is the one actually
+	// listening (with -addr host:0 the kernel-assigned port), so a
+	// supervisor polling it can never race the bind or pick a port
+	// that was taken.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "sinrserve:", err)
+		os.Exit(1)
+	}
+	fmt.Printf("sinrserve: listening on %s (max-locators=%d workers=%d default-eps=%g min-eps=%g max-concurrent=%d max-queue=%d spec-dir=%q)\n",
+		ln.Addr(), cfg.opt.MaxLocators, cfg.opt.Workers, cfg.opt.DefaultEps, cfg.opt.MinEps,
+		cfg.opt.MaxConcurrent, cfg.opt.MaxQueue, cfg.specDir)
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+	if err := run(cfg, ln, stop); err != nil {
 		fmt.Fprintln(os.Stderr, "sinrserve:", err)
 		os.Exit(1)
 	}
 }
 
-func run(cfg config) error {
+// run serves on ln until a signal arrives on stop, then drains: it
+// returns nil once in-flight requests, streams and the reconcile
+// controller have finished within cfg.drainTimeout.
+func run(cfg config, ln net.Listener, stop <-chan os.Signal) error {
 	if cfg.logRequests {
 		cfg.opt.AccessLog = slog.New(slog.NewJSONHandler(os.Stderr, nil))
 	}
@@ -149,25 +165,11 @@ func run(cfg config) error {
 		}()
 	}
 
-	// Bind before announcing: the printed address is the one actually
-	// listening (with -addr host:0 the kernel-assigned port), so a
-	// supervisor polling it can never race the bind or pick a port
-	// that was taken.
-	ln, err := net.Listen("tcp", cfg.addr)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("sinrserve: listening on %s (max-locators=%d workers=%d default-eps=%g min-eps=%g max-concurrent=%d max-queue=%d spec-dir=%q)\n",
-		ln.Addr(), cfg.opt.MaxLocators, cfg.opt.Workers, cfg.opt.DefaultEps, cfg.opt.MinEps,
-		cfg.opt.MaxConcurrent, cfg.opt.MaxQueue, cfg.specDir)
-
 	errCh := make(chan error, 1)
 	go func() {
 		errCh <- srv.Serve(ln)
 	}()
 
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-errCh:
 		return err

@@ -17,7 +17,8 @@
 //   - each station owns a stable slot whose location, power and
 //     conservative zone cover box never change, so an arrival or
 //     departure touches exactly the grid cells of its own box
-//     (shardindex.DynIndex, a persistent copy-on-write grid);
+//     (shardindex.Index, the grid type the Theorem 3 locator also
+//     uses, patched copy-on-write per delta by Update);
 //   - the kd-tree is not rebuilt: the base tree of the last full build
 //     answers through an index-remapping filter (kdtree.NearestMapped)
 //     and stations admitted since are scanned as a small overlay.

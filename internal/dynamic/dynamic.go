@@ -139,10 +139,9 @@ type Snapshot struct {
 	net   *core.Network
 	stats ApplyStats
 
-	// Bounded views of the slot table (immutable).
-	pts    []geom.Point
-	powers []float64
-	boxes  []shardindex.Box
+	// Bounded view of the slot table's locations (immutable); the grid
+	// keeps its own view of the cover boxes.
+	pts []geom.Point
 
 	curToID []int32 // network index -> slot id, canonical order
 	idToCur []int32 // slot id -> network index, -1 = departed
@@ -156,7 +155,7 @@ type Snapshot struct {
 	remap   func(int) (int, bool)
 	extras  []int32
 
-	grid *shardindex.DynIndex // nil = disabled (unbounded cover boxes)
+	grid *shardindex.Index // nil = disabled (unbounded cover boxes)
 }
 
 // Epoch returns the snapshot's epoch number (1 for the initial build,
@@ -328,8 +327,6 @@ func (d *Network) rebuild(net *core.Network, epoch uint64, stats ApplyStats) {
 		net:     net,
 		stats:   stats,
 		pts:     tab.pts[:n:n],
-		powers:  tab.powers[:n:n],
-		boxes:   tab.boxes[:n:n],
 		curToID: curToID,
 		idToCur: idToCur,
 		base:    kdtree.New(tab.pts[:n]),
@@ -593,8 +590,6 @@ func (d *Network) applyIncremental(old *Snapshot, delta Delta, removedMask []boo
 		net:     net,
 		stats:   stats,
 		pts:     tab.pts[:nIDs:nIDs],
-		powers:  tab.powers[:nIDs:nIDs],
-		boxes:   tab.boxes[:nIDs:nIDs],
 		curToID: curID,
 		idToCur: idToCur,
 		base:    old.base,

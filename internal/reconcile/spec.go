@@ -2,7 +2,6 @@ package reconcile
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,24 +11,18 @@ import (
 	"repro/internal/serve"
 )
 
-// ParseSpec decodes one JSON spec document into a NetworkSpec.
-// Decoding is strict: unknown fields are errors, so a typoed key fails
-// loudly instead of silently describing a different network.
+// ParseSpec decodes one JSON spec document into a NetworkSpec with
+// serve.DecodeSpec, the decoder POST /v1/networks uses: unknown fields
+// and any content after the document are errors.
 func ParseSpec(data []byte) (*serve.NetworkSpec, error) {
-	trimmed := bytes.TrimSpace(data)
-	if len(trimmed) == 0 {
+	if len(bytes.TrimSpace(data)) == 0 {
 		return nil, fmt.Errorf("empty spec")
 	}
-	dec := json.NewDecoder(bytes.NewReader(trimmed))
-	dec.DisallowUnknownFields()
-	var spec serve.NetworkSpec
-	if err := dec.Decode(&spec); err != nil {
+	spec, err := serve.DecodeSpec(bytes.NewReader(data))
+	if err != nil {
 		return nil, fmt.Errorf("bad spec: %w", err)
 	}
-	if dec.More() {
-		return nil, fmt.Errorf("bad spec: trailing content after document")
-	}
-	return &spec, nil
+	return spec, nil
 }
 
 // specFile is one successfully parsed spec file: the normalized spec

@@ -71,9 +71,9 @@ func NewLocator(net *core.Network, opts ...Option) (*LocatorResolver, error) {
 	if c.exactFallback {
 		fn = loc.LocateExact
 	}
-	// The build above always carries the spatial index; only a
-	// core.BuildOptions{NoSpatialIndex: true} build, which no resolver
-	// makes, lacks it.
+	// The build above carries the spatial index unless its cover boxes
+	// overflow float64, where shardindex.Build returns nil and Locate
+	// takes its kd-only path; a nil index reports zero Stats.
 	sx := loc.SpatialIndex().Stats()
 	stats := Stats{
 		Kind:            KindLocator,
@@ -82,7 +82,7 @@ func NewLocator(net *core.Network, opts ...Option) (*LocatorResolver, error) {
 		Eps:             loc.Eps(),
 		ExactFallback:   c.exactFallback,
 		UncertainSize:   loc.NumUncertainCells(),
-		SpatialIndex:    true,
+		SpatialIndex:    loc.SpatialIndex() != nil,
 		IndexCells:      sx.Cols * sx.Rows,
 		IndexOccupied:   sx.Occupied,
 		IndexMaxPerCell: sx.MaxPerCell,

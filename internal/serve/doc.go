@@ -17,27 +17,33 @@
 // # Declarative networks
 //
 // NetworkSpec (spec.go) is the one canonical description of a
-// network; the server stores each generation's normalized spec, its
-// canonical serialization, and its content hash. GET
-// /v1/networks/{name} returns those stored bytes verbatim — creating
-// a network from a spec and reading it back is byte-identical — with
-// the generation in a Sinr-Network-Version header and the hash in
-// Sinr-Spec-Hash. ApplySpec converges a name toward a spec with the
-// cheapest operation (no-op on hash match, the delta path for
-// station/power/metadata drift, rebuild for physics changes), which
-// is what the reconcile controller (internal/reconcile) drives.
+// network. POST bodies and spec files both decode through DecodeSpec:
+// an unknown key or content after the document is a 400 or a spec
+// error, never a silently different network. The server stores each
+// generation's normalized spec, its canonical serialization, and its
+// content hash. GET /v1/networks/{name} returns those stored bytes
+// verbatim — creating a network from a spec and reading it back is
+// byte-identical — with the generation in a Sinr-Network-Version
+// header and the hash in Sinr-Spec-Hash. ApplySpec converges a name
+// toward a spec with the cheapest operation (no-op on hash match, the
+// delta path for station/power/metadata drift, rebuild for physics
+// changes), which is what the reconcile controller
+// (internal/reconcile) drives.
 //
 // # Resolver selection
 //
 // Every query names its backend through the "resolver" field of the
 // /v1/locate body (or the resolver query parameter of the stream
-// endpoint): "exact" (direct SINR evaluation), "locator" (the
-// Theorem 3 structure with exact fallback), "voronoi" (single
-// candidate + one SINR check: the nearest station, or the strongest
-// signal under per-station powers; the scan for beta <= 1), "udg"
-// (the graph-based baseline) or "dynamic" (the current dynamic-engine
-// epoch snapshot: exact answers, O(1) resolver turnover per PATCH
-// instead of a backend rebuild).
+// endpoint): "exact" (Network.HeardBy), "locator" (the Theorem 3
+// structure with exact fallback), "voronoi" (single candidate + one
+// SINR check: the nearest station, or the strongest signal under
+// per-station powers; the scan for beta <= 1), "udg" (the graph-based
+// baseline) or "dynamic" (the current dynamic-engine epoch snapshot:
+// exact answers, O(1) resolver turnover per PATCH instead of a backend
+// rebuild). One engine answers exact, voronoi and dynamic: each
+// generation's epoch snapshot (one grid lookup, then the single
+// candidate), and the response echoes the kind the request named. The
+// O(n^2) scan is the oracle the tests and sinrload -verify hold it to.
 // A network registration may set its own default backend (and a
 // default UDG radius) via the same "resolver"/"radius" fields; a
 // request that names neither uses the network's default, which is
@@ -67,12 +73,12 @@
 //
 // # Caching
 //
-// The exact, voronoi and dynamic kinds answer from resolvers each
-// generation builds when it is published — O(1) wraps of its network
-// and epoch snapshot; voronoi shares the dynamic one — so they never
-// touch a cache. Locator and UDG resolvers are cached per (network
-// incarnation, version, kind, eps, radius) and schedules per (network
-// incarnation, parameters) in one single-flight LRU type (cache.go):
+// The exact, voronoi and dynamic kinds answer from the one resolver
+// each generation builds when it is published — an O(1) wrap of its
+// epoch snapshot — so they never touch a cache. Locator and UDG
+// resolvers are cached per (network incarnation, version, kind, eps,
+// radius) and schedules per (network incarnation, parameters) in one
+// single-flight LRU type (cache.go):
 // concurrent first requests for a key share one build (the O(n^3/eps)
 // locator build is the expensive case), publishing a generation drops
 // its predecessors' resolvers while a superseded schedule stays to

@@ -102,16 +102,16 @@ type Options struct {
 // mid-request. kind and radius are the network's registered defaults;
 // a request's own "resolver"/"radius" fields override them per query.
 // epoch is the dynamic-engine epoch snapshot behind this generation —
-// the station set net was materialized from. exact (the scan oracle
-// over net) and dynamic (over epoch, answering the voronoi and dynamic
-// kinds) are O(1) wraps built once by publish, never cached.
+// the station set net was materialized from — and resolver, an O(1)
+// wrap of it built once by publish and never cached, answers the
+// exact, voronoi and dynamic kinds (see resolverFor).
 type snapshot struct {
-	net            *core.Network
-	version        uint64
-	kind           resolve.Kind
-	radius         float64
-	epoch          *dynamic.Snapshot
-	exact, dynamic resolve.Resolver
+	net      *core.Network
+	version  uint64
+	kind     resolve.Kind
+	radius   float64
+	epoch    *dynamic.Snapshot
+	resolver resolve.Resolver
 	// Declarative identity: the normalized spec this generation serves,
 	// its canonical serialization (the GET /v1/networks/{name} readback,
 	// byte-stable through create) and the content hash the reconcile
@@ -361,20 +361,36 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 
 // decodeBody decodes a JSON request body capped at limit bytes,
 // reporting whether the caller can proceed; on failure the error
-// response (400, or 413 for an oversized body) has been written.
+// response has been written (see bodyDecoded).
 func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
-	err := dec.Decode(v)
+	return bodyDecoded(w, decodeDocument(dec, v))
+}
+
+// decodeDocument decodes dec's input into v as exactly one JSON
+// document: content after it is rejected, not dropped, so a second
+// PATCH delta appended to the first is never half-applied. Trailing
+// whitespace reads as io.EOF.
+func decodeDocument(dec *json.Decoder, v any) error {
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	_, err := dec.Token()
+	if err == io.EOF {
+		return nil
+	}
+	if err == nil || !errors.As(err, new(*http.MaxBytesError)) {
+		err = errors.New("trailing content after the JSON document")
+	}
+	return err
+}
+
+// bodyDecoded reports whether a request body decoded (err is nil);
+// otherwise it writes the error response: 413 for a body over its
+// cap, 400 for anything else.
+func bodyDecoded(w http.ResponseWriter, err error) bool {
 	if err == nil {
-		// A body is one document: content after it is rejected, not
-		// dropped, so a second PATCH delta appended to the first is
-		// never half-applied. Trailing whitespace reads as io.EOF.
-		if _, err = dec.Token(); err == io.EOF {
-			return true
-		}
-		if !errors.As(err, new(*http.MaxBytesError)) {
-			err = errors.New("trailing content after the JSON document")
-		}
+		return true
 	}
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
@@ -398,14 +414,14 @@ func (s *Server) handleNetworks(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) registerNetwork(w http.ResponseWriter, r *http.Request) {
-	var spec NetworkSpec
-	if !decodeBody(w, r, s.opt.MaxBodyBytes, &spec) {
+	spec, err := DecodeSpec(http.MaxBytesReader(w, r.Body, s.opt.MaxBodyBytes))
+	if !bodyDecoded(w, err) {
 		return
 	}
 	// POST keeps its historical register/replace semantics: every call
 	// lands a new generation (hot-swap tests and operators rely on the
 	// version bump), so the convergent paths are bypassed.
-	res, err := s.applySpec(&spec, false)
+	res, err := s.applySpec(spec, false)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -577,16 +593,14 @@ func (s *Server) entryFor(name string) (*netEntry, bool) {
 }
 
 // publish makes next the live generation of entry: it wraps next's
-// exact and dynamic resolvers, swaps the snapshot in, and drops the
+// epoch snapshot as its resolver, swaps the snapshot in, and drops the
 // cached resolvers of superseded generations. Every writer — POST
 // register/replace, ApplySpec convergence and PATCH — lands here while
 // holding entry.mu, so versions stay monotone per incarnation.
 func (s *Server) publish(entry *netEntry, next *snapshot) {
-	// Neither wrap can fail: NewServer clamps Workers to >= 0 and every
+	// The wrap cannot fail: NewServer clamps Workers to >= 0 and every
 	// generation carries its epoch snapshot.
-	workers := resolve.WithWorkers(s.opt.Workers)
-	next.exact, _ = resolve.NewExact(next.net, workers)
-	next.dynamic, _ = resolve.NewDynamicSnapshot(next.epoch, workers)
+	next.resolver, _ = resolve.NewDynamicSnapshot(next.epoch, resolve.WithWorkers(s.opt.Workers))
 	entry.snap.Store(next)
 	s.resolvers.drop(entry, next.version)
 }
@@ -626,14 +640,13 @@ func (s *Server) resolverFor(tr *trace.Trace, entry *netEntry, spec resolverSpec
 	// build plus a permanently leaked cache entry.
 	eps, radius := 0.0, 0.0
 	switch kind {
-	case resolve.KindExact:
-		return snap, snap.exact, kind, 0, nil
-	case resolve.KindVoronoi, resolve.KindDynamic:
-		// Both are one candidate station plus one SINR check
-		// (Observation 2.2) answered from the epoch snapshot, which is
-		// what resolve.New builds for the voronoi kind too, so the kinds
-		// share the generation's snapshot resolver.
-		return snap, snap.dynamic, kind, 0, nil
+	case resolve.KindExact, resolve.KindVoronoi, resolve.KindDynamic:
+		// All three are HeardBy on the generation, which its epoch
+		// snapshot answers exactly: one grid lookup, then Observation
+		// 2.2's single candidate and one SINR check (the scan for
+		// beta <= 1). The O(n^2) scan stays the library's exact
+		// resolver, the oracle these answers are tested against.
+		return snap, snap.resolver, kind, 0, nil
 	case resolve.KindLocator:
 		eps = spec.eps
 		if eps == 0 {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 
 	"repro/internal/core"
@@ -65,6 +66,22 @@ type NetworkSpec struct {
 	Resolver string          `json:"resolver,omitempty"`
 	Radius   float64         `json:"radius,omitempty"`
 	Schedule *SchedulePolicy `json:"schedule,omitempty"`
+}
+
+// DecodeSpec reads one NetworkSpec document from r, strictly: unknown
+// fields are errors, so a typoed key fails loudly instead of silently
+// describing a different network, and the document must be all of r
+// (trailing whitespace aside). POST /v1/networks and the reconcile
+// controller's spec files both decode through it, so one document
+// means one network on either path.
+func DecodeSpec(r io.Reader) (*NetworkSpec, error) {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	var spec NetworkSpec
+	if err := decodeDocument(dec, &spec); err != nil {
+		return nil, err
+	}
+	return &spec, nil
 }
 
 func finiteField(v float64) bool {

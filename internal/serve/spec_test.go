@@ -191,6 +191,32 @@ func TestSpecReadbackRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRegisterRejectsUnknownSpecKey pins POST /v1/networks to the
+// spec-file decoder: a typoed key is a 400 that registers nothing,
+// not a network that silently ignores the field (here, one served by
+// the default locator instead of the exact backend it asked for).
+func TestRegisterRejectsUnknownSpecKey(t *testing.T) {
+	ts := httptest.NewServer(NewServer(Options{Workers: 1}))
+	defer ts.Close()
+	body := `{"name":"typo","stations":[{"x":0,"y":0},{"x":3,"y":4}],"noise":0.1,"beta":2,"resolvr":"exact"}`
+	resp := rawRequest(t, ts, http.MethodPost, "/v1/networks", body)
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "resolvr") {
+		t.Fatalf("register with an unknown key: %s %s, want 400 naming the key", resp.Status, msg)
+	}
+	if resp, _ := getSpec(t, ts, "typo"); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("rejected spec was registered: readback %s", resp.Status)
+	}
+	listed, err := ts.Client().Get(ts.URL + "/v1/networks")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if list := decodeJSON[[]NetworkResponse](t, listed); len(list) != 0 {
+		t.Fatalf("rejected spec was registered: list %+v", list)
+	}
+}
+
 func TestApplySpecConvergence(t *testing.T) {
 	srv := NewServer(Options{})
 	stations := testStations(t, 8, 11)

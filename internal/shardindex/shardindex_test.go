@@ -77,16 +77,30 @@ func TestCandidatesAreSuperset(t *testing.T) {
 func TestPointBoxes(t *testing.T) {
 	// All-degenerate boxes (stations sharing locations produce point
 	// cover boxes): pitch must fall back sanely and lookups stay exact.
-	boxes := []Box{
-		{MinX: 1, MinY: 1, MaxX: 1, MaxY: 1},
-		{MinX: 5, MinY: 5, MaxX: 5, MaxY: 5},
+	// In the second case the boxes sit three ulps apart at x = 1e6: the
+	// pitch (an eighth of the extent) is below the coordinates' ulp, so
+	// the extent's float edge (origin + cols*pitch) rounds onto the far
+	// box. A placement test in any arithmetic other than the lookup's
+	// own rejects that box, and an index built without it would certify
+	// H- at a covered point.
+	far := 1e6
+	for range 3 {
+		far = math.Nextafter(far, math.Inf(1))
 	}
-	ix := Build(boxes)
-	if !ix.Covers(1, 1) || !ix.Covers(5, 5) {
-		t.Fatal("point boxes must cover their own location")
-	}
-	if ix.Covers(3, 3) {
-		t.Fatal("midpoint between point boxes must not be covered")
+	for _, c := range []struct{ p, q, between [2]float64 }{
+		{[2]float64{1, 1}, [2]float64{5, 5}, [2]float64{3, 3}},
+		{[2]float64{1e6, 0}, [2]float64{far, 0}, [2]float64{math.Nextafter(1e6, far), 0}},
+	} {
+		ix := Build([]Box{
+			{MinX: c.p[0], MinY: c.p[1], MaxX: c.p[0], MaxY: c.p[1]},
+			{MinX: c.q[0], MinY: c.q[1], MaxX: c.q[0], MaxY: c.q[1]},
+		})
+		if !ix.Covers(c.p[0], c.p[1]) || !ix.Covers(c.q[0], c.q[1]) {
+			t.Fatalf("point boxes at %v and %v must cover their own location", c.p, c.q)
+		}
+		if ix.Covers(c.between[0], c.between[1]) {
+			t.Fatalf("%v between the point boxes at %v and %v must not be covered", c.between, c.p, c.q)
+		}
 	}
 }
 
@@ -169,7 +183,174 @@ func TestStatsShape(t *testing.T) {
 	if s.Boxes != 2 || s.Occupied == 0 || s.MaxPerCell < 1 || s.AvgPerCell < 1 {
 		t.Fatalf("implausible stats: %+v", s)
 	}
-	if ix.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", ix.Len())
+	if s.Cols*s.Rows == 0 || s.CellSize <= 0 {
+		t.Fatalf("degenerate grid shape: %+v", s)
+	}
+}
+
+// TestBuildOverflowingExtent: boxes whose union spans more than
+// math.MaxFloat64 leave no grid arithmetic that can place a point, so
+// both builders return nil instead of a grid that misses them.
+func TestBuildOverflowingExtent(t *testing.T) {
+	boxes := []Box{
+		{MinX: -1e308, MinY: 0, MaxX: -1e308, MaxY: 0},
+		{MinX: 1e308, MinY: 0, MaxX: 1e308, MaxY: 0},
+	}
+	if ix := Build(boxes); ix != nil {
+		t.Fatalf("Build over an overflowing extent returned a grid: %+v", ix.Stats())
+	}
+	if ix := BuildDyn(boxes, []int32{0, 1}); ix != nil {
+		t.Fatalf("BuildDyn over an overflowing extent returned a grid: %+v", ix.Stats())
+	}
+	if s := (*Index)(nil).Stats(); s != (Stats{}) {
+		t.Fatalf("nil index reports %+v, want zero Stats", s)
+	}
+}
+
+// The cases below drive BuildDyn's padded grids and Update's
+// copy-on-write path.
+
+// dynBoxAround builds the square cover box of radius r around (x, y).
+func dynBoxAround(x, y, r float64) Box {
+	return Box{MinX: x - r, MinY: y - r, MaxX: x + r, MaxY: y + r}
+}
+
+// bruteCovers is the reference answer: does any live box contain (x,y)?
+func bruteCovers(boxes []Box, live []int32, x, y float64) bool {
+	for _, id := range live {
+		if boxes[id].Contains(x, y) {
+			return true
+		}
+	}
+	return false
+}
+
+func TestDynIndexBuildMatchesBrute(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	boxes := make([]Box, 40)
+	live := make([]int32, 0, len(boxes))
+	for i := range boxes {
+		boxes[i] = dynBoxAround(rng.Float64()*10-5, rng.Float64()*10-5, 0.3+rng.Float64())
+		live = append(live, int32(i))
+	}
+	d := BuildDyn(boxes, live)
+	if d == nil {
+		t.Fatal("BuildDyn returned nil for finite boxes")
+	}
+	if s := d.Stats(); s.Boxes != len(live) {
+		t.Fatalf("Stats().Boxes = %d, want %d", s.Boxes, len(live))
+	}
+	for i := 0; i < 3000; i++ {
+		x, y := rng.Float64()*16-8, rng.Float64()*16-8
+		if got, want := d.Covers(x, y), bruteCovers(boxes, live, x, y); got != want {
+			t.Fatalf("Covers(%g, %g) = %v, want %v", x, y, got, want)
+		}
+	}
+}
+
+func TestDynIndexUpdateMatchesBruteAndIsPersistent(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	boxes := make([]Box, 0, 128)
+	live := []int32{}
+	for i := 0; i < 24; i++ {
+		boxes = append(boxes, dynBoxAround(rng.Float64()*8-4, rng.Float64()*8-4, 0.4))
+		live = append(live, int32(i))
+	}
+	d := BuildDyn(boxes, live)
+	if d == nil {
+		t.Fatal("BuildDyn returned nil")
+	}
+
+	type epoch struct {
+		d    *Index
+		live []int32
+	}
+	history := []epoch{{d, append([]int32(nil), live...)}}
+
+	for step := 0; step < 30; step++ {
+		var removed, added []int32
+		if len(live) > 4 && rng.Intn(2) == 0 {
+			i := rng.Intn(len(live))
+			removed = []int32{live[i]}
+			live = append(live[:i:i], live[i+1:]...)
+		} else {
+			// Arrive well inside the padded extent so the incremental
+			// path is taken.
+			id := int32(len(boxes))
+			boxes = append(boxes, dynBoxAround(rng.Float64()*6-3, rng.Float64()*6-3, 0.4))
+			added = []int32{id}
+			live = append(live, id)
+		}
+		nd, touched, ok := d.Update(boxes, removed, added)
+		if !ok {
+			t.Fatalf("step %d: in-extent update demanded a rebuild", step)
+		}
+		if touched == 0 {
+			t.Fatalf("step %d: update touched no cells", step)
+		}
+		d = nd
+		history = append(history, epoch{d, append([]int32(nil), live...)})
+	}
+
+	// Every historical epoch — including ones superseded many updates
+	// ago — must still answer from its own box set: the COW must never
+	// let a later update leak into an older index.
+	for ei, e := range history {
+		for i := 0; i < 400; i++ {
+			x, y := rng.Float64()*12-6, rng.Float64()*12-6
+			if got, want := e.d.Covers(x, y), bruteCovers(boxes, e.live, x, y); got != want {
+				t.Fatalf("epoch %d: Covers(%g, %g) = %v, want %v", ei, x, y, got, want)
+			}
+		}
+	}
+}
+
+func TestDynIndexOutOfExtentAddRequiresRebuild(t *testing.T) {
+	boxes := []Box{dynBoxAround(0, 0, 1), dynBoxAround(2, 2, 1)}
+	d := BuildDyn(boxes, []int32{0, 1})
+	if d == nil {
+		t.Fatal("BuildDyn returned nil")
+	}
+	boxes = append(boxes, dynBoxAround(100, 100, 1))
+	if _, _, ok := d.Update(boxes, nil, []int32{2}); ok {
+		t.Fatal("far-outside arrival did not demand a rebuild")
+	}
+	// The failed update must leave d fully usable.
+	if !d.Covers(0, 0) || d.Covers(50, 50) {
+		t.Fatal("index damaged by a rejected update")
+	}
+}
+
+func TestDynIndexNonFiniteBoxDisables(t *testing.T) {
+	inf := math.Inf(1)
+	boxes := []Box{dynBoxAround(0, 0, 1), {MinX: -inf, MinY: -inf, MaxX: inf, MaxY: inf}}
+	if d := BuildDyn(boxes, []int32{0, 1}); d != nil {
+		t.Fatal("BuildDyn accepted an unbounded box")
+	}
+	if d := BuildDyn(nil, nil); d != nil {
+		t.Fatal("BuildDyn accepted an empty live set")
+	}
+}
+
+func TestDynIndexCoversAllocationFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	boxes := make([]Box, 64)
+	live := make([]int32, len(boxes))
+	for i := range boxes {
+		boxes[i] = dynBoxAround(rng.Float64()*10, rng.Float64()*10, 0.5)
+		live[i] = int32(i)
+	}
+	d := BuildDyn(boxes, live)
+	pts := make([][2]float64, 256)
+	for i := range pts {
+		pts[i] = [2]float64{rng.Float64() * 12, rng.Float64() * 12}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, p := range pts {
+			d.Covers(p[0], p[1])
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Covers allocates: %g allocs per 256-query run", allocs)
 	}
 }

@@ -46,8 +46,9 @@ type SpecResult = serve.SpecResult
 // the drift-detection currency of the declarative API.
 func SpecHash(canonical []byte) string { return serve.SpecHash(canonical) }
 
-// ParseNetworkSpec decodes one JSON spec document strictly: unknown
-// fields are errors.
+// ParseNetworkSpec decodes one JSON spec document strictly, exactly
+// as POST /v1/networks does: unknown fields and any content after the
+// document are errors.
 func ParseNetworkSpec(data []byte) (*NetworkSpec, error) { return reconcile.ParseSpec(data) }
 
 // Server is the serving subsystem: an http.Handler owning a registry
