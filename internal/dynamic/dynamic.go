@@ -112,20 +112,57 @@ func (t *slots) add(p geom.Point, power float64, noise, beta, alpha float64) int
 	return int32(len(t.pts) - 1)
 }
 
+// coverSlack is the relative margin coverBox adds to the half-side of
+// a cover box; see coverBox for the error budget it covers.
+const coverSlack = 1e-9
+
 // coverBox bounds station's reception zone by the necessary condition
 // E >= beta*N: the zone lies in the square of half-side
-// (psi/(beta*N))^(1/alpha) around the station, whatever the other
-// stations do — which is what makes the box independent of churn
+// rho = (psi/(beta*N))^(1/alpha) around the station, whatever the
+// other stations do — which is what makes the box independent of churn
 // elsewhere and lets arrivals and departures touch only their own
 // boxes. A noiseless network has unbounded interference-free range;
 // its non-finite box disables the grid (BuildDyn returns nil) and the
 // snapshot answers without the fast H- exit.
+//
+// The box must hold every point the float predicate of Network.Heard
+// (and HeardBy's scan) accepts, not only the real zone, so the
+// half-side carries a relative margin of coverSlack. With u = 2^-53
+// the unit roundoff, and every quantity in the normal float range:
+//
+//   - Heard means fl(e/fl(I+N)) >= beta with interference I >= 0 (0
+//     with one station). fl(I+N) >= N because rounding is monotone,
+//     and rounded division is monotone in its divisor, so
+//     fl(e/N) >= beta, hence e >= beta*N/(1+u).
+//   - e = fl(psi*w) with w = d2^(-alpha/2) up to a relative error
+//     eps_p (alpha = 2 computes psi/d2 directly: eps_p = 0), and
+//     d2 = fl(fl(dx^2)+fl(dy^2)) >= fl(dx^2) >= dx^2*(1-u) with
+//     dx = fl(p.X-s.X) = (p.X-s.X)(1+d), |d| <= u. Together:
+//     |p.X-s.X| <= rho*((1+eps_p)(1+u)^2)^(1/alpha)/(1-u)^(3/2), and
+//     the same for y.
+//   - The computed half-side r is rho up to the rounding of
+//     beta*N, of psi/(beta*N) and of 1/alpha (exact for alpha = 2),
+//     plus the error of math.Pow itself (math.Pow(x, 0.5) is
+//     math.Sqrt, correctly rounded).
+//   - For alpha != 2 this assumes math.Pow's relative error is at most
+//     1e-12. Go's Pow is exp(yf*log x) times a product by repeated
+//     squaring; its error grows with |y*ln x| <= ~2^11 over the
+//     double range, a few hundred ulps at most, about 3e-13. That is
+//     an assumption about the library, not a proof.
+//
+// Every term above is below 1e-11 of rho, so R = r*(1+coverSlack)
+// bounds |p.X-s.X| with three orders of magnitude to spare. The edge
+// addition needs no margin of its own: p.X <= s.X+R in real terms
+// and p.X is a float, so monotone rounding gives p.X <= fl(s.X+R),
+// and likewise fl(s.X-R) <= p.X. The grid places points and box edges
+// with one monotone cell formula, so a point inside a box lands in a
+// cell that lists it.
 func coverBox(p geom.Point, power, noise, beta, alpha float64) shardindex.Box {
 	if noise <= 0 {
 		inf := math.Inf(1)
 		return shardindex.Box{MinX: -inf, MinY: -inf, MaxX: inf, MaxY: inf}
 	}
-	r := math.Pow(power/(beta*noise), 1/alpha)
+	r := math.Pow(power/(beta*noise), 1/alpha) * (1 + coverSlack)
 	return shardindex.Box{MinX: p.X - r, MinY: p.Y - r, MaxX: p.X + r, MaxY: p.Y + r}
 }
 

@@ -14,10 +14,15 @@ import (
 // random networks with log-normal powers (spread up to 1.5), across
 // alpha in {2, 3}, beta in {0.5, 1, 1.5, 3} and noise in {0, 0.01},
 // through chains of deltas that re-power, add and remove stations over
-// both apply paths. The probes include every degenerate point of the
-// strongest-station reduction: on a station, on two co-located
-// stations, an exact energy tie, and points so far away that the
-// energies are 0.
+// both apply paths. Three layouts: dense networks of 20 to 51
+// stations, one-station networks, and sparse ones whose far stations
+// add less interference near station 0 than half an ulp of the noise.
+// The probes include every degenerate point of the strongest-station
+// reduction (on a station, on two co-located stations, an exact energy
+// tie, points so far away that the energies are 0) and, on noisy
+// one-station and sparse networks, the points a few ulps either side
+// of each cover-box edge, where only the box's rounding margin keeps
+// the grid's H- exit exact.
 func TestQuickLocateMatchesHeardBy(t *testing.T) {
 	rng := rand.New(rand.NewSource(1414))
 	paths := map[ApplyPath]int{}
@@ -25,70 +30,114 @@ func TestQuickLocateMatchesHeardBy(t *testing.T) {
 	for _, alpha := range []float64{2, 3} {
 		for _, beta := range []float64{0.5, 1, 1.5, 3} {
 			for _, noise := range []float64{0, 0.01} {
-				sigma := 1.5 * rng.Float64()
-				logNormal := func() float64 { return math.Exp(sigma * rng.NormFloat64()) }
-				uniformPt := func() geom.Point { return geom.Pt(rng.Float64()*10-5, rng.Float64()*10-5) }
-
-				// Stations 0 and 1 share a location; at tie, station 2
-				// (power 2^alpha, distance 2) and station 3 (power 1,
-				// distance 1) deliver energy exactly 1 each. Deltas touch
-				// only stations from index 4 on, so both survive.
-				shared, tie := uniformPt(), geom.Pt(9, 7)
-				pts := []geom.Point{shared, shared, geom.Pt(7, 7), geom.Pt(10, 7)}
-				powers := []float64{logNormal(), logNormal(), math.Pow(2, alpha), 1}
-				for k := 16 + rng.Intn(32); k > 0; k-- {
-					pts = append(pts, uniformPt())
-					powers = append(powers, logNormal())
-				}
-				net, err := core.NewNetwork(pts, noise, beta, core.WithAlpha(alpha), core.WithPowers(powers))
-				if err != nil {
-					t.Fatal(err)
-				}
-				dyn, err := New(net)
-				if err != nil {
-					t.Fatal(err)
-				}
-				snap := dyn.Snapshot()
-				for step := 0; ; step++ {
-					net := snap.Network()
-					probes := []geom.Point{shared, tie, geom.Pt(1e150, 0), geom.Pt(-1e200, 1e200)}
-					for i := 0; i < net.NumStations(); i++ {
-						s := net.Station(i)
-						probes = append(probes, s, geom.PolarPoint(s, 0.5*rng.Float64(), 2*math.Pi*rng.Float64()))
-					}
-					for k := 0; k < 32; k++ {
-						probes = append(probes, geom.Pt(rng.Float64()*14-7, rng.Float64()*14-7))
-					}
-					for _, p := range probes {
-						want := core.Location{Kind: core.NoReception}
-						if i, ok := net.HeardBy(p); ok {
-							want = core.Location{Kind: core.Reception, Station: i}
-							heard++
-						}
-						checked++
-						if got := snap.Locate(p); got != want {
-							t.Fatalf("%v epoch %d: Locate(%v) = %+v, HeardBy %+v", net, snap.Epoch(), p, got, want)
-						}
-					}
-					if step == 12 {
-						break
+				for _, layout := range []string{"dense", "one", "sparse"} {
+					sigma := 1.5 * rng.Float64()
+					logNormal := func() float64 { return math.Exp(sigma * rng.NormFloat64()) }
+					uniformPt := func() geom.Point { return geom.Pt(rng.Float64()*10-5, rng.Float64()*10-5) }
+					// A far station of a sparse network: at 10^11 (alpha 2)
+					// or 10^7 (alpha 3) its energy near station 0 is below
+					// 1e-20, under half an ulp of the noise 0.01.
+					farPt := func() geom.Point {
+						return geom.PolarPoint(geom.Point{}, math.Pow(10, 19-4*alpha)*(1+rng.Float64()), 2*math.Pi*rng.Float64())
 					}
 
-					n := snap.NumStations()
-					var d Delta
-					for k := 1 + rng.Intn(3); k > 0; k-- {
-						d.SetPower = append(d.SetPower, PowerUpdate{Station: 4 + rng.Intn(n-4), Power: logNormal()})
+					// Dense: stations 0 and 1 share a location; at tie,
+					// station 2 (power 2^alpha, distance 2) and station 3
+					// (power 1, distance 1) deliver energy exactly 1 each.
+					// Deltas touch only stations from index fixed on, so
+					// these survive.
+					shared, tie := uniformPt(), geom.Pt(9, 7)
+					var pts []geom.Point
+					var powers []float64
+					fixed := 1
+					switch layout {
+					case "dense":
+						pts = []geom.Point{shared, shared, geom.Pt(7, 7), geom.Pt(10, 7)}
+						powers = []float64{logNormal(), logNormal(), math.Pow(2, alpha), 1}
+						for k := 16 + rng.Intn(32); k > 0; k-- {
+							pts = append(pts, uniformPt())
+							powers = append(powers, logNormal())
+						}
+						fixed = 4
+					case "one":
+						pts, powers = []geom.Point{shared}, []float64{logNormal()}
+					case "sparse":
+						pts, powers = []geom.Point{shared}, []float64{logNormal()}
+						for k := 1 + rng.Intn(3); k > 0; k-- {
+							pts = append(pts, farPt())
+							powers = append(powers, logNormal())
+						}
 					}
-					switch rng.Intn(3) {
-					case 0:
-						d.Add = []Station{{Pos: uniformPt(), Power: logNormal()}}
-					case 1:
-						d.Remove = []int{4 + rng.Intn(n-4)}
-					}
-					if snap, err = dyn.Apply(d); err != nil {
+					net, err := core.NewNetwork(pts, noise, beta, core.WithAlpha(alpha), core.WithPowers(powers))
+					if err != nil {
 						t.Fatal(err)
 					}
-					paths[snap.ApplyStats().Path]++
+					dyn, err := New(net)
+					if err != nil {
+						t.Fatal(err)
+					}
+					snap := dyn.Snapshot()
+					for step := 0; ; step++ {
+						net := snap.Network()
+						probes := []geom.Point{shared, tie, geom.Pt(1e150, 0), geom.Pt(-1e200, 1e200)}
+						for i := 0; i < net.NumStations(); i++ {
+							s := net.Station(i)
+							probes = append(probes, s, geom.PolarPoint(s, 0.5*rng.Float64(), 2*math.Pi*rng.Float64()))
+						}
+						// Box edges of the first four stations, where the
+						// interference is too small to keep the zone off its
+						// box (on a dense network it always is).
+						for i := 0; noise > 0 && layout != "dense" && i < min(4, net.NumStations()); i++ {
+							probes = append(probes, edgeProbes(net.Station(i), zoneRadius(net, i))...)
+						}
+						for k := 0; k < 32; k++ {
+							probes = append(probes, geom.Pt(rng.Float64()*14-7, rng.Float64()*14-7))
+						}
+						for _, p := range probes {
+							want := core.Location{Kind: core.NoReception}
+							if i, ok := net.HeardBy(p); ok {
+								want = core.Location{Kind: core.Reception, Station: i}
+								heard++
+							}
+							checked++
+							if got := snap.Locate(p); got != want {
+								t.Fatalf("%s %v epoch %d: Locate(%v) = %+v, HeardBy %+v", layout, net, snap.Epoch(), p, got, want)
+							}
+						}
+						if step == 12 {
+							break
+						}
+
+						n := snap.NumStations()
+						var d Delta
+						switch layout {
+						case "dense":
+							for k := 1 + rng.Intn(3); k > 0; k-- {
+								d.SetPower = append(d.SetPower, PowerUpdate{Station: fixed + rng.Intn(n-fixed), Power: logNormal()})
+							}
+							switch rng.Intn(3) {
+							case 0:
+								d.Add = []Station{{Pos: uniformPt(), Power: logNormal()}}
+							case 1:
+								d.Remove = []int{fixed + rng.Intn(n-fixed)}
+							}
+						case "one":
+							d.SetPower = []PowerUpdate{{Station: 0, Power: logNormal()}}
+						case "sparse":
+							// Re-power station 0 (its box edges move) and add
+							// or remove a far station.
+							d.SetPower = []PowerUpdate{{Station: 0, Power: logNormal()}}
+							if n > 1 && rng.Intn(2) == 0 {
+								d.Remove = []int{1 + rng.Intn(n-1)}
+							} else {
+								d.Add = []Station{{Pos: farPt(), Power: logNormal()}}
+							}
+						}
+						if snap, err = dyn.Apply(d); err != nil {
+							t.Fatal(err)
+						}
+						paths[snap.ApplyStats().Path]++
+					}
 				}
 			}
 		}
@@ -98,5 +147,83 @@ func TestQuickLocateMatchesHeardBy(t *testing.T) {
 	}
 	if heard == 0 || heard == checked {
 		t.Fatalf("%d of %d probes heard: the probe set misses one side of the decision", heard, checked)
+	}
+}
+
+// edgeProbes returns the points from 4 ulps inside to 8 ulps outside
+// each of the four edges of the square of half-side r around s, on the
+// axis-parallel lines through s: the points where a cover box without
+// a rounding margin dismisses what Network.HeardBy hears.
+func edgeProbes(s geom.Point, r float64) []geom.Point {
+	var out []geom.Point
+	for _, e := range []struct {
+		edge, dir float64
+		onX       bool
+	}{
+		{s.X + r, 1, true}, {s.X - r, -1, true}, {s.Y + r, 1, false}, {s.Y - r, -1, false},
+	} {
+		v := e.edge
+		for k := 0; k < 4; k++ {
+			v = math.Nextafter(v, -e.dir*math.Inf(1))
+		}
+		for k := -4; k <= 8; k++ {
+			if e.onX {
+				out = append(out, geom.Pt(v, s.Y))
+			} else {
+				out = append(out, geom.Pt(s.X, v))
+			}
+			v = math.Nextafter(v, e.dir*math.Inf(1))
+		}
+	}
+	return out
+}
+
+// zoneRadius is the half-side of station i's noise-limited cover box,
+// (psi/(beta*N))^(1/alpha), computed as the unmargined box of the
+// snapshot's grid once was: the probes of edgeProbes straddle it.
+func zoneRadius(net *core.Network, i int) float64 {
+	return math.Pow(net.Power(i)/(net.Beta()*net.Noise()), 1/net.Alpha())
+}
+
+// TestCoverBoxEdgeAgreesWithHeardBy is the regression test for the
+// cover box's rounding margin. On a one-station network the
+// interference sum is 0, so nothing hides the float gap between the
+// box edge and the boundary of the zone Heard evaluates: without the
+// margin, points 1 to 4 ulps past the edge are heard by HeardBy but
+// dismissed as H- by the grid (about 7% of these probes).
+func TestCoverBoxEdgeAgreesWithHeardBy(t *testing.T) {
+	rng := rand.New(rand.NewSource(2009))
+	checked, heard := 0, 0
+	for k := 0; k < 1500; k++ {
+		s := geom.Pt(rng.Float64()*10-5, rng.Float64()*10-5)
+		noise := math.Exp(rng.Float64()*8 - 6)
+		beta := 1.5 + 4*rng.Float64()
+		alpha := float64(2 + k%2)
+		net, err := core.NewNetwork([]geom.Point{s}, noise, beta, core.WithAlpha(alpha))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dyn, err := New(net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := dyn.Snapshot()
+		if !snap.GridEnabled() {
+			t.Fatalf("%v: grid disabled on a noisy network", net)
+		}
+		for _, p := range edgeProbes(s, zoneRadius(net, 0)) {
+			want := core.Location{Kind: core.NoReception}
+			if i, ok := net.HeardBy(p); ok {
+				want = core.Location{Kind: core.Reception, Station: i}
+				heard++
+			}
+			checked++
+			if got := snap.Locate(p); got != want {
+				t.Fatalf("%v: Locate(%v) = %+v, HeardBy %+v (%d probes checked)", net, p, got, want, checked)
+			}
+		}
+	}
+	if heard == 0 || heard == checked {
+		t.Fatalf("%d of %d probes heard: the probes must straddle the zone boundary", heard, checked)
 	}
 }

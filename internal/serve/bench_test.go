@@ -100,15 +100,11 @@ type replayBody struct{ bytes.Reader }
 
 func (b *replayBody) Close() error { return nil }
 
-// BenchmarkServeBatch is the CI 0-alloc gate for the instrumented
-// request path: one op is one query point served through the full
-// handler stack — mux dispatch, observability middleware, admission,
-// JSON decode, sharded resolve, JSON encode — with metrics and
-// admission enabled. The bounded per-request overhead (decoder state,
-// response headers, batch fan-out) is amortized over the 1024-point
-// batch; anything that allocates per point — the batch loop, a metric
-// record, an admission slot — surfaces as a nonzero allocs/op.
-func BenchmarkServeBatch(b *testing.B) {
+// handlerBench boots an in-process server with admission and metrics
+// enabled and one registered 64-station network, "bench", for the
+// benchmarks that drive the handler stack without a socket.
+func handlerBench(b *testing.B) (*Server, *workload.Generator, geom.Box) {
+	b.Helper()
 	gen := workload.NewGenerator(1)
 	box := geom.NewBox(geom.Pt(-5, -5), geom.Pt(5, 5))
 	stations, err := gen.UniformSeparated(64, box, 0.05)
@@ -127,18 +123,19 @@ func BenchmarkServeBatch(b *testing.B) {
 	if rw.Code != http.StatusOK {
 		b.Fatalf("register: %d %s", rw.Code, rw.Body)
 	}
+	return srv, gen, box
+}
 
-	const batch = 1024
-	pts := gen.QueryPoints(batch, box)
-	req := LocateRequest{Network: "bench", Resolver: "exact"}
-	req.Points = make([]PointJSON, batch)
-	for i, p := range pts {
-		req.Points[i] = PointJSON{X: p.X, Y: p.Y}
-	}
+// replayer returns a function serving one POST /v1/locate of payload
+// through srv's full handler stack, reusing the request, its body and
+// the response writer so that only the server allocates. The first
+// call warms the resolver cache and the scratch pools.
+func replayer(b *testing.B, srv *Server, req LocateRequest) func() {
+	b.Helper()
 	payload, _ := json.Marshal(req)
-
 	body := new(replayBody)
 	hreq := httptest.NewRequest(http.MethodPost, "/v1/locate", nil)
+	hreq.ContentLength = int64(len(payload))
 	w := &nopWriter{h: make(http.Header)}
 	serveOnce := func() {
 		body.Reset(payload)
@@ -149,7 +146,34 @@ func BenchmarkServeBatch(b *testing.B) {
 			b.Fatalf("status %d", w.status)
 		}
 	}
-	serveOnce() // warm the resolver cache and the scratch pools
+	serveOnce()
+	return serveOnce
+}
+
+// wirePoints returns n query points of the benchmark box in the wire
+// shape.
+func wirePoints(gen *workload.Generator, box geom.Box, n int) []PointJSON {
+	out := make([]PointJSON, n)
+	for i, p := range gen.QueryPoints(n, box) {
+		out[i] = PointJSON{X: p.X, Y: p.Y}
+	}
+	return out
+}
+
+// BenchmarkServeBatch is the CI 0-alloc gate for the instrumented
+// request path: one op is one query point served through the full
+// handler stack — mux dispatch, observability middleware, admission,
+// body decode, sharded resolve, JSON encode — with metrics and
+// admission enabled. The bounded per-request overhead (request
+// strings, response headers, batch fan-out) is amortized over the
+// 1024-point batch; anything that allocates per point — the batch
+// loop, the body scan, a metric record, an admission slot — surfaces
+// as a nonzero allocs/op. BenchmarkServeLocateRequest reports the
+// per-request cost.
+func BenchmarkServeBatch(b *testing.B) {
+	srv, gen, box := handlerBench(b)
+	const batch = 1024
+	serveOnce := replayer(b, srv, LocateRequest{Network: "bench", Resolver: "exact", Points: wirePoints(gen, box, batch)})
 
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -157,6 +181,31 @@ func BenchmarkServeBatch(b *testing.B) {
 		serveOnce()
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/s")
+}
+
+// BenchmarkServeLocateRequest measures one 256-point POST /v1/locate
+// through the full handler stack — the batch shape of perfbench's
+// locator-uniform workload — so B/op and allocs/op are per request.
+// The locator sub-benchmark builds its eps-0.2 locator once, outside
+// the timer.
+func BenchmarkServeLocateRequest(b *testing.B) {
+	srv, gen, box := handlerBench(b)
+	const batch = 256
+	pts := wirePoints(gen, box, batch)
+	for _, tc := range []struct {
+		kind string
+		eps  float64
+	}{{"exact", 0}, {"locator", 0.2}} {
+		b.Run(tc.kind, func(b *testing.B) {
+			serveOnce := replayer(b, srv, LocateRequest{Network: "bench", Resolver: tc.kind, Eps: tc.eps, Points: pts})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				serveOnce()
+			}
+			b.ReportMetric(float64(b.N)*batch/b.Elapsed().Seconds(), "queries/s")
+		})
+	}
 }
 
 // BenchmarkServeLocateStream measures NDJSON streaming throughput; one

@@ -84,6 +84,43 @@
 // its predecessors' resolvers while a superseded schedule stays to
 // seed the next repair, and deleting a network drops all it cached.
 //
+// # Request decoding
+//
+// POST /v1/locate reads its body once, through the MaxBodyBytes cap,
+// into a pooled buffer. A fixed-shape scanner (decode.go) decodes the
+// shape json.Marshal(LocateRequest) produces — what sinrload, perfbench
+// and most clients send — straight into the pooled request, with
+// strconv.ParseFloat for the numbers, the call encoding/json makes.
+// It takes a body only when:
+//
+//   - it is one object, with only JSON whitespace after it, whose keys
+//     are exactly "network", "resolver", "eps", "radius" and "points",
+//     each at most once, in any order;
+//   - "network" and "resolver" are strings of printable ASCII without
+//     escapes (encoding/json rewrites invalid UTF-8, so non-ASCII falls
+//     back);
+//   - "eps", "radius" and every coordinate match the JSON number
+//     grammar -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? byte for
+//     byte, and ParseFloat takes them without a range error. The
+//     grammar check keeps ParseFloat's wider syntax (+1, .5, 1., 01,
+//     0x1p3, Inf, NaN) a 400;
+//   - "points" is an array of objects whose keys are exactly "x" and
+//     "y", each at most once; a missing coordinate is 0.
+//
+// Every other body — unknown keys (which encoding/json ignores), keys
+// differing only in case (which it matches), duplicate keys (where its
+// last one wins), escapes, null, wrong types, a body over the cap —
+// goes to encoding/json over the same bytes, after the reused request
+// is zeroed. A read error reaches encoding/json after the bytes read
+// before it, so a syntax error inside the cap stays a 400 and every
+// other oversized body a 413. Served answers, statuses and error texts
+// are therefore encoding/json's on every input, which the fuzz targets
+// FuzzDecodeLocate and FuzzDecodePointLine check differentially. The
+// NDJSON point lines of /v1/locate/stream take the same point scanner,
+// with json.Unmarshal as the fallback. No flag or option selects a
+// decoder. The request's "decode" span covers the read, the scan and
+// any fallback.
+//
 // # Answer convention
 //
 // Served answers use the batch sentinel convention: "station" is the

@@ -719,12 +719,13 @@ func resultFor(loc core.Location) LocateResult {
 }
 
 // locateScratch is the pooled per-request scratch of the batch locate
-// handler: the decoded request (whose Points array the JSON decoder
-// reuses), the query points, the resolver answers and the wire
-// results all ride along between requests, so steady-state batch
-// serving recycles its large buffers instead of re-allocating them
-// per request.
+// handler: the request body, the decoded request (whose Points array
+// the decoder refills in place), the query points, the resolver
+// answers and the wire results all ride along between requests, so
+// steady-state batch serving recycles its large buffers instead of
+// re-allocating them per request.
 type locateScratch struct {
+	body    []byte
 	req     LocateRequest
 	pts     []geom.Point
 	answers []core.Location
@@ -747,17 +748,13 @@ func (s *Server) handleLocate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
 		return
 	}
+	tr := traceOf(w)
 	sc := locatePool.Get().(*locateScratch)
-	defer locatePool.Put(sc)
-	// The JSON decoder only writes fields present in the body, so the
-	// recycled request — including every element of the reused Points
-	// array, where an omitted coordinate would otherwise inherit a
-	// previous request's value — must be zeroed by hand before the
-	// decoder refills it in place.
-	pts := sc.req.Points[:cap(sc.req.Points)]
-	clear(pts)
-	sc.req = LocateRequest{Points: pts[:0]}
-	if !decodeBody(w, r, s.opt.MaxBodyBytes, &sc.req) {
+	defer sc.release()
+	ds := tr.Start("decode")
+	err := sc.decodeLocate(w, r, s.opt.MaxBodyBytes)
+	tr.End(ds)
+	if !bodyDecoded(w, err) {
 		return
 	}
 	req := &sc.req
@@ -770,7 +767,6 @@ func (s *Server) handleLocate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "%v", fmt.Errorf("%w %q", errUnknownNetwork, req.Network))
 		return
 	}
-	tr := traceOf(w)
 	tr.SetNetwork(req.Network)
 	// Admission gates everything expensive — the resolver build as
 	// much as the batch itself.
@@ -902,8 +898,8 @@ func (s *Server) handleLocateStream(w http.ResponseWriter, r *http.Request) {
 			if len(line) == 0 {
 				continue
 			}
-			var p PointJSON
-			if err := json.Unmarshal(line, &p); err != nil {
+			p, err := decodePointLine(line)
+			if err != nil {
 				readErr <- fmt.Errorf("bad point line: %v", err)
 				return
 			}

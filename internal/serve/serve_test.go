@@ -7,6 +7,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -788,6 +790,81 @@ func TestLocateOffNearestPathNetworks(t *testing.T) {
 				t.Errorf("%s %s: served station %d at %v, want 0", tc.reg.Name, kind, out.Results[0].Station, tc.p)
 			}
 		}
+	}
+}
+
+// TestLocateBoxEdgesMatchHeardBy serves the points a few ulps either
+// side of the cover-box edges of one-station networks through the
+// three kinds the generation's epoch snapshot answers. There the
+// interference is 0, so only the box's rounding margin keeps the
+// grid's H- exit from dismissing a point HeardBy hears.
+func TestLocateBoxEdgesMatchHeardBy(t *testing.T) {
+	ts := httptest.NewServer(NewServer(Options{Workers: 1}))
+	defer ts.Close()
+	rng := rand.New(rand.NewSource(2009))
+	heard, checked := 0, 0
+	for k := 0; k < 24; k++ {
+		s := geom.Pt(rng.Float64()*10-5, rng.Float64()*10-5)
+		noise, beta, alpha := math.Exp(rng.Float64()*8-6), 1.5+4*rng.Float64(), float64(2+k%2)
+		spec := registerReq("edge", []geom.Point{s}, noise, beta)
+		spec.Alpha = alpha
+		resp := postJSON(t, ts, "/v1/networks", spec)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("register: %s", resp.Status)
+		}
+		resp.Body.Close()
+		net, err := core.NewNetwork([]geom.Point{s}, noise, beta, core.WithAlpha(alpha))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// From 4 ulps inside to 8 ulps outside each edge of the
+		// unmargined box of half-side r, on the lines through s.
+		r := math.Pow(1/(beta*noise), 1/alpha)
+		across := func(edge, dir float64) []float64 {
+			for k := 0; k < 4; k++ {
+				edge = math.Nextafter(edge, -dir*math.Inf(1))
+			}
+			vals := make([]float64, 13)
+			for k := range vals {
+				vals[k], edge = edge, math.Nextafter(edge, dir*math.Inf(1))
+			}
+			return vals
+		}
+		var pts []geom.Point
+		for _, dir := range []float64{1, -1} {
+			for _, x := range across(s.X+dir*r, dir) {
+				pts = append(pts, geom.Pt(x, s.Y))
+			}
+			for _, y := range across(s.Y+dir*r, dir) {
+				pts = append(pts, geom.Pt(s.X, y))
+			}
+		}
+		want := heardAll(net, pts)
+		for _, kind := range []string{"exact", "voronoi", "dynamic"} {
+			req := LocateRequest{Network: "edge", Resolver: kind, Points: make([]PointJSON, len(pts))}
+			for i, p := range pts {
+				req.Points[i] = PointJSON{X: p.X, Y: p.Y}
+			}
+			resp := postJSON(t, ts, "/v1/locate", req)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: %s", kind, resp.Status)
+			}
+			out := decodeJSON[LocateResponse](t, resp)
+			for i := range pts {
+				if out.Results[i].Station != want[i] {
+					t.Fatalf("%v %s: point %v served %d, HeardBy %d", net, kind, pts[i], out.Results[i].Station, want[i])
+				}
+			}
+		}
+		for _, w := range want {
+			if w != NoStationHeard {
+				heard++
+			}
+			checked++
+		}
+	}
+	if heard == 0 || heard == checked {
+		t.Fatalf("%d of %d probes heard: the probes must straddle the zone boundary", heard, checked)
 	}
 }
 

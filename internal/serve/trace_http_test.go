@@ -98,7 +98,7 @@ func TestTraceparentAdoptionAndFlightRecorder(t *testing.T) {
 			t.Fatalf("span %q has negative timing: %+v", sp.Name, sp)
 		}
 	}
-	for _, want := range []string{"resolver.build", "resolve.batch", "encode"} {
+	for _, want := range []string{"decode", "resolver.build", "resolve.batch", "encode"} {
 		if !names[want] {
 			t.Errorf("span %q missing from captured trace, have %v", want, names)
 		}
