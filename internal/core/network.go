@@ -183,16 +183,49 @@ func (n *Network) Energy(i int, p geom.Point) float64 {
 	return n.powers[i] * math.Pow(d2, -n.alpha/2)
 }
 
-// Interference returns I(s_i, p) = E(S - {s_i}, p): the summed energy
-// of every station other than i at p.
-func (n *Network) Interference(i int, p geom.Point) float64 {
-	var sum float64
-	for j := range n.stations {
-		if j != i {
-			sum += n.Energy(j, p)
-		}
+// The alpha = 2 kernel. Energy does not inline (its math.Pow branch is
+// over the compiler's budget), so a sum of Energy calls pays a call and
+// the d2 == 0 and alpha tests per term. For alpha = 2 the sums below
+// evaluate each term as psi_j / geom.Dist2(s_j, p) instead: the very
+// operations Energy performs, in the same index order into one
+// accumulator, so every sum is bit for bit the per-term Energy sum.
+// The d2 == 0 test adds nothing there: psi > 0, so psi/0 is already
+// +Inf. Terms are never reordered or split over several accumulators,
+// because a different float sum can flip a decision at the zone
+// boundary. For alpha != 2 math.Pow dominates and Energy stays.
+
+// sumEnergy2 adds the alpha = 2 energies of stations st (powers pw) at
+// p to sum, in index order.
+func sumEnergy2(st []geom.Point, pw []float64, p geom.Point, sum float64) float64 {
+	pw = pw[:len(st)]
+	for j, s := range st {
+		sum += pw[j] / geom.Dist2(s, p)
 	}
 	return sum
+}
+
+// Interference returns I(s_i, p) = E(S - {s_i}, p): the summed energy
+// of every station other than i at p, in index order.
+//
+//sinr:hotpath
+func (n *Network) Interference(i int, p geom.Point) float64 {
+	if n.alpha != 2 {
+		var sum float64
+		for j := range n.stations {
+			if j != i {
+				sum += n.Energy(j, p)
+			}
+		}
+		return sum
+	}
+	// Stations [0, a) and [b, n): all of them when i is out of range.
+	a := min(max(i, 0), len(n.stations))
+	b := a
+	if a == i && i < len(n.stations) {
+		b = i + 1
+	}
+	sum := sumEnergy2(n.stations[:a], n.powers[:a], p, 0)
+	return sumEnergy2(n.stations[b:], n.powers[b:], p, sum)
 }
 
 // SINR returns SINR(s_i, p) per Equation (1) of the paper. It returns
@@ -202,6 +235,8 @@ func (n *Network) Interference(i int, p geom.Point) float64 {
 // result is 0, matching the zone convention that a point coinciding
 // with an interferer is never heard (H_i degenerates for shared
 // locations).
+//
+//sinr:hotpath
 func (n *Network) SINR(i int, p geom.Point) float64 {
 	inter := n.Interference(i, p)
 	if math.IsInf(inter, 1) {
@@ -220,6 +255,8 @@ func (n *Network) SINR(i int, p geom.Point) float64 {
 // that a point coinciding with an interferer never is heard — the
 // interferer case wins even at p == s_i when another station shares
 // the location.
+//
+//sinr:hotpath
 func (n *Network) Heard(i int, p geom.Point) bool {
 	return n.SINR(i, p) >= n.beta
 }
@@ -259,18 +296,43 @@ func (n *Network) heardScan(i int, p geom.Point) bool {
 		return n.Heard(i, p)
 	}
 	var sum float64
-	for j := range n.stations {
-		if j == i {
-			continue
-		}
-		sum += n.Energy(j, p)
-		if j&15 == 15 && e/(sum+n.noise) < n.beta {
+	if n.alpha == 2 {
+		var out bool
+		if sum, out = n.scanEnergy2(0, i, p, e, sum); out {
 			return false
+		}
+		if sum, out = n.scanEnergy2(i+1, len(n.stations), p, e, sum); out {
+			return false
+		}
+	} else {
+		for j := range n.stations {
+			if j == i {
+				continue
+			}
+			sum += n.Energy(j, p)
+			if j&15 == 15 && e/(sum+n.noise) < n.beta {
+				return false
+			}
 		}
 	}
 	// A +Inf sum gives e/(+Inf) = 0 < beta, as SINR's interferer
 	// convention does.
 	return e/(sum+n.noise) >= n.beta
+}
+
+// scanEnergy2 is heardScan's alpha = 2 loop over stations [from, to):
+// it adds their energies at p to sum in index order and reports out =
+// true once, at a j with j&15 == 15, the partial SINR of energy e falls
+// below beta.
+func (n *Network) scanEnergy2(from, to int, p geom.Point, e, sum float64) (float64, bool) {
+	st, pw := n.stations[:to], n.powers[:to]
+	for j := from; j < to; j++ {
+		sum += pw[j] / geom.Dist2(st[j], p)
+		if j&15 == 15 && e/(sum+n.noise) < n.beta {
+			return sum, true
+		}
+	}
+	return sum, false
 }
 
 // Strongest returns the station with the largest received energy
@@ -284,6 +346,15 @@ func (n *Network) heardScan(i int, p geom.Point) bool {
 //sinr:hotpath
 func (n *Network) Strongest(p geom.Point) (int, bool) {
 	best, bestE := -1, math.Inf(-1)
+	if n.alpha == 2 {
+		pw := n.powers[:len(n.stations)]
+		for i, s := range n.stations {
+			if e := pw[i] / geom.Dist2(s, p); e > bestE {
+				best, bestE = i, e
+			}
+		}
+		return best, best >= 0
+	}
 	for i := range n.stations {
 		if e := n.Energy(i, p); e > bestE {
 			best, bestE = i, e

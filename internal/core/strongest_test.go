@@ -147,3 +147,98 @@ func TestStrongest(t *testing.T) {
 		t.Errorf("Strongest allocates %g times per call", allocs)
 	}
 }
+
+// The per-term Energy forms of the alpha = 2 kernel: Interference,
+// SINR, Strongest and heardScan as they read before the kernel inlined
+// their sums. The kernel must reproduce them bit for bit.
+
+func energyInterference(n *Network, i int, p geom.Point) float64 {
+	var sum float64
+	for j := 0; j < n.NumStations(); j++ {
+		if j != i {
+			sum += n.Energy(j, p)
+		}
+	}
+	return sum
+}
+
+func energySINR(n *Network, i int, p geom.Point) float64 {
+	inter := energyInterference(n, i, p)
+	if math.IsInf(inter, 1) {
+		return 0
+	}
+	e := n.Energy(i, p)
+	if math.IsInf(e, 1) {
+		return math.Inf(1)
+	}
+	return e / (inter + n.Noise())
+}
+
+func energyStrongest(n *Network, p geom.Point) (int, bool) {
+	best, bestE := -1, math.Inf(-1)
+	for i := 0; i < n.NumStations(); i++ {
+		if e := n.Energy(i, p); e > bestE {
+			best, bestE = i, e
+		}
+	}
+	return best, best >= 0
+}
+
+func energyHeardScan(n *Network, i int, p geom.Point) bool {
+	e := n.Energy(i, p)
+	if math.IsInf(e, 1) {
+		return energySINR(n, i, p) >= n.Beta()
+	}
+	var sum float64
+	for j := 0; j < n.NumStations(); j++ {
+		if j == i {
+			continue
+		}
+		sum += n.Energy(j, p)
+		if j&15 == 15 && e/(sum+n.Noise()) < n.Beta() {
+			return false
+		}
+	}
+	return e/(sum+n.Noise()) >= n.Beta()
+}
+
+// TestKernelMatchesEnergySum pins the alpha = 2 kernel to the per-term
+// Energy sums, bit for bit: Interference (also for an out-of-range i,
+// which sums every station), SINR, the Strongest index and heardScan's
+// decision, on the planted networks and probes above (every station, a
+// co-located pair, an exact energy tie, the 1e150 and 1e200 over- and
+// underflow points) plus NaN coordinates, for alpha in {2, 3}.
+func TestKernelMatchesEnergySum(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	nan := math.NaN()
+	for _, alpha := range []float64{2, 3} {
+		for _, beta := range []float64{0.5, 1.5, 3} {
+			for _, noise := range []float64{0, 0.01} {
+				for trial := 0; trial < 6; trial++ {
+					net, shared, tie := plantedNetwork(t, rng, 1.5*rng.Float64(), noise, beta, alpha)
+					probes := append(plantedProbes(rng, net, shared, tie), geom.Pt(nan, 0), geom.Pt(0, nan), geom.Pt(nan, nan))
+					for _, p := range probes {
+						for i := -1; i <= net.NumStations(); i++ {
+							if got, want := net.Interference(i, p), energyInterference(net, i, p); math.Float64bits(got) != math.Float64bits(want) {
+								t.Fatalf("%v: Interference(%d, %v) = %v, per-term Energy sum %v", net, i, p, got, want)
+							}
+							if i < 0 || i == net.NumStations() {
+								continue
+							}
+							if got, want := net.SINR(i, p), energySINR(net, i, p); math.Float64bits(got) != math.Float64bits(want) {
+								t.Fatalf("%v: SINR(%d, %v) = %v, per-term Energy form %v", net, i, p, got, want)
+							}
+							if got, want := net.heardScan(i, p), energyHeardScan(net, i, p); got != want {
+								t.Fatalf("%v: heardScan(%d, %v) = %v, per-term Energy form %v", net, i, p, got, want)
+							}
+						}
+						gi, gok := net.Strongest(p)
+						if wi, wok := energyStrongest(net, p); gi != wi || gok != wok {
+							t.Fatalf("%v: Strongest(%v) = (%d, %v), per-term Energy form (%d, %v)", net, p, gi, gok, wi, wok)
+						}
+					}
+				}
+			}
+		}
+	}
+}

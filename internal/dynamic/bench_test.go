@@ -92,8 +92,10 @@ func BenchmarkDynamicRebuild(b *testing.B) {
 // a post-churn snapshot (base tree + overlay extras + patched grid):
 // the nearest-station path on uniform networks, and on the lognormal
 // leg (log-normal powers, sigma 0.5, plus power-walk deltas) the
-// strongest-station path. It must report 0 allocs/op — the CI bench
-// gate enforces it.
+// strongest-station path. The farfield leg queries a rebuild-path
+// snapshot of 10^4 stations, which carries the certified far-field
+// check, at Theorem 4.1 annulus points (the dense-boundary workload's).
+// It must report 0 allocs/op — the CI bench gate enforces it.
 func BenchmarkDynamicLocate(b *testing.B) {
 	for _, bc := range []struct {
 		name  string
@@ -139,4 +141,31 @@ func BenchmarkDynamicLocate(b *testing.B) {
 			}
 		})
 	}
+	b.Run("farfield/n=10000", func(b *testing.B) {
+		net, _ := benchNet(b, 10000, 0)
+		dyn, err := New(net)
+		if err != nil {
+			b.Fatal(err)
+		}
+		snap := dyn.Snapshot()
+		if snap.far == nil {
+			b.Fatal("rebuild-path snapshot of 10^4 stations without a far-field check")
+		}
+		rng := rand.New(rand.NewSource(7))
+		pts := make([]geom.Point, 4096)
+		for k := range pts {
+			i := rng.Intn(net.NumStations())
+			zb, err := net.TheoremBounds(i)
+			if err != nil {
+				b.Fatal(err)
+			}
+			r := zb.DeltaLower + rng.Float64()*(math.Min(zb.DeltaUpper, zb.Kappa/2)-zb.DeltaLower)
+			pts[k] = geom.PolarPoint(net.Station(i), r, 2*math.Pi*rng.Float64())
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			snap.Locate(pts[i%len(pts)])
+		}
+	})
 }

@@ -21,6 +21,17 @@ import (
 // kd-tree sort plus grid construction of a full build.
 const DefaultRebuildFraction = 0.25
 
+// farFieldMinStations is the station count from which a rebuild also
+// builds the certified far-field check (core.FarField) that Locate's
+// beta > 1 candidate test goes through. On Theorem 4.1 annulus points
+// of a constant-density network the check costs 0.36 us against the
+// exact sum's 0.52 us at n = 512, 0.52 against 1.04 us at 1024 and
+// 1.6 against 10 us at 10^4 (core's BenchmarkFarField), while the tree
+// holds 23 bytes a station (31 under per-station powers) and takes
+// 58 us to build at 1024. Below 1024 a check is already under a
+// microsecond, so small networks build and hold nothing.
+const farFieldMinStations = 1024
+
 // Station describes one station of a delta: its location and
 // transmission power. A zero Power means the uniform default 1.
 type Station struct {
@@ -193,6 +204,12 @@ type Snapshot struct {
 	extras  []int32
 
 	grid *shardindex.Index // nil = disabled (unbounded cover boxes)
+
+	// far is the certified far-field check of rebuild-path epochs of
+	// at least farFieldMinStations stations; nil elsewhere (incremental
+	// epochs, small networks, networks outside its certified range),
+	// where the candidate test is the exact Network.Heard.
+	far *core.FarField
 }
 
 // Epoch returns the snapshot's epoch number (1 for the initial build,
@@ -219,10 +236,12 @@ func (s *Snapshot) GridEnabled() bool { return s.grid != nil }
 // exactly. The fast path is one grid-cell lookup over the per-station
 // cover boxes — a point outside every box is certified H- without
 // touching a station. For beta > 1 at most one station can be heard
-// (Observation 2.2), so one candidate and one SINR evaluation settle
-// the point: the nearest station from the base-tree overlay for
-// uniform networks, the strongest-signal station
-// (core.Network.Strongest, one O(n) pass) otherwise. Networks with
+// (Observation 2.2), so one candidate and one SINR check settle the
+// point: the nearest station from the base-tree overlay for uniform
+// networks, the strongest-signal station (core.Network.Strongest, one
+// O(n) pass) otherwise. The check is the epoch's certified far-field
+// tree (core.FarField) where it has one, and the exact
+// Network.Heard otherwise; both give Heard's answer. Networks with
 // beta <= 1 take the exact scan. Answers are identical to a
 // from-scratch Network.HeardBy — and, for locator-eligible networks,
 // to a from-scratch Theorem 3 locator's LocateExact. The hot path
@@ -245,7 +264,14 @@ func (s *Snapshot) Locate(p geom.Point) core.Location {
 	} else {
 		idx, ok = s.net.Strongest(p)
 	}
-	if ok && s.net.Heard(idx, p) {
+	if ok {
+		if s.far != nil {
+			ok = s.far.Heard(idx, p)
+		} else {
+			ok = s.net.Heard(idx, p)
+		}
+	}
+	if ok {
 		return core.Location{Kind: core.Reception, Station: idx}
 	}
 	return core.Location{Kind: core.NoReception}
@@ -344,13 +370,15 @@ func (d *Network) Epoch() uint64 { return d.cur.Load().epoch }
 
 // rebuild installs a from-scratch snapshot for net (the amortized path
 // and the initial build), resetting the churn accounting. Callers hold
-// d.mu (or are the constructor).
+// d.mu (or are the constructor). The slot table starts at capacity n:
+// a static network never admits another slot, and the first admission
+// reallocates, which readers never see through their capped views.
 func (d *Network) rebuild(net *core.Network, epoch uint64, stats ApplyStats) {
 	n := net.NumStations()
 	tab := &slots{
-		pts:    make([]geom.Point, 0, 2*n),
-		powers: make([]float64, 0, 2*n),
-		boxes:  make([]shardindex.Box, 0, 2*n),
+		pts:    make([]geom.Point, 0, n),
+		powers: make([]float64, 0, n),
+		boxes:  make([]shardindex.Box, 0, n),
 	}
 	curToID := make([]int32, n)
 	idToCur := make([]int32, n)
@@ -370,6 +398,9 @@ func (d *Network) rebuild(net *core.Network, epoch uint64, stats ApplyStats) {
 		baseIDs: curToID, // identity: base order is canonical order
 		extras:  nil,
 		grid:    shardindex.BuildDyn(tab.boxes[:n:n], curToID),
+	}
+	if n >= farFieldMinStations {
+		snap.far = core.NewFarField(net)
 	}
 	snap.remap = remapFunc(snap)
 	d.tab = tab

@@ -237,6 +237,49 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 }
 
+// TestSnapshotIsolationAcrossSlotGrowth: the slot table of a rebuild
+// starts at capacity n, so the first admission reallocates it. An
+// epoch pinned before that keeps its capped views of the old arrays
+// and must keep answering from its own station set.
+func TestSnapshotIsolationAcrossSlotGrowth(t *testing.T) {
+	net := startNet(t, 8, 12)
+	dyn, err := New(net, WithRebuildFraction(math.Inf(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := dyn.Snapshot()
+	probes := queryGrid(scratchNet(t, pinned))
+	want := make([]core.Location, len(probes))
+	for i, p := range probes {
+		want[i] = pinned.Locate(p)
+	}
+	first := &dyn.tab.pts[0]
+	for k := 0; k < 40; k++ {
+		// Arrivals beside the first stations keep their cover boxes
+		// inside the grid's extent, so every delta stays incremental.
+		s := net.Station(k % 8)
+		d := Delta{Add: []Station{{Pos: geom.Pt(s.X+0.01*float64(k+1), s.Y)}}}
+		if k%3 == 2 {
+			d = Delta{SetPower: []PowerUpdate{{Station: k % 8, Power: 1 + float64(k%4)/8}}}
+		}
+		snap, err := dyn.Apply(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.ApplyStats().Path != PathIncremental {
+			t.Fatalf("delta %d took the %v path", k, snap.ApplyStats().Path)
+		}
+	}
+	if &dyn.tab.pts[0] == first {
+		t.Fatal("40 admissions left the slot table in place; the test must force a reallocation")
+	}
+	for i, p := range probes {
+		if got := pinned.Locate(p); got != want[i] {
+			t.Fatalf("pinned epoch answer changed at %v: %+v -> %+v", p, want[i], got)
+		}
+	}
+}
+
 // TestApplyValidation: bad deltas are rejected and leave the engine
 // untouched.
 func TestApplyValidation(t *testing.T) {

@@ -227,3 +227,74 @@ func TestCoverBoxEdgeAgreesWithHeardBy(t *testing.T) {
 		t.Fatalf("%d of %d probes heard: the probes must straddle the zone boundary", heard, checked)
 	}
 }
+
+// TestFarFieldSnapshotMatchesHeardBy pins the snapshots that carry the
+// certified far-field check — rebuild-path epochs of at least
+// farFieldMinStations stations — to the scan oracle, under uniform and
+// log-normal powers, on Theorem 4.1 annulus points (uniform power),
+// points near stations and points over the whole deployment; and pins
+// which epochs carry the check: the initial build and every rebuild,
+// not incremental epochs.
+func TestFarFieldSnapshotMatchesHeardBy(t *testing.T) {
+	rng := rand.New(rand.NewSource(1024))
+	for _, sigma := range []float64{0, 0.5} {
+		n := farFieldMinStations + 76
+		side := 3 * math.Sqrt(float64(n))
+		pts := make([]geom.Point, n)
+		powers := make([]float64, n)
+		for j := range pts {
+			pts[j] = geom.Pt((rng.Float64()-0.5)*side, (rng.Float64()-0.5)*side)
+			powers[j] = math.Exp(sigma * rng.NormFloat64())
+		}
+		net, err := core.NewNetwork(pts, 0.01, 3, core.WithPowers(powers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dyn, err := New(net, WithRebuildFraction(0.001))
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := dyn.Snapshot()
+		for step := 0; step < 3; step++ {
+			net := snap.Network()
+			if want := snap.ApplyStats().Path == PathRebuild; (snap.far != nil) != want {
+				t.Fatalf("sigma=%g epoch %d (%v path): far-field check present %v", sigma, snap.Epoch(), snap.ApplyStats().Path, snap.far != nil)
+			}
+			var probes []geom.Point
+			for k := 0; k < 300; k++ {
+				i := rng.Intn(net.NumStations())
+				s := net.Station(i)
+				probes = append(probes,
+					geom.PolarPoint(s, 2*rng.Float64(), 2*math.Pi*rng.Float64()),
+					geom.Pt((rng.Float64()-0.5)*side, (rng.Float64()-0.5)*side))
+				if b, err := net.TheoremBounds(i); err == nil {
+					r := b.DeltaLower + rng.Float64()*(math.Min(b.DeltaUpper, b.Kappa/2)-b.DeltaLower)
+					probes = append(probes, geom.PolarPoint(s, r, 2*math.Pi*rng.Float64()))
+				}
+			}
+			heard := 0
+			for _, p := range probes {
+				want := core.Location{Kind: core.NoReception}
+				if i, ok := net.HeardBy(p); ok {
+					want = core.Location{Kind: core.Reception, Station: i}
+					heard++
+				}
+				if got := snap.Locate(p); got != want {
+					t.Fatalf("sigma=%g epoch %d: Locate(%v) = %+v, HeardBy %+v", sigma, snap.Epoch(), p, got, want)
+				}
+			}
+			if heard == 0 || heard == len(probes) {
+				t.Fatalf("sigma=%g: %d of %d probes heard: the probes miss one side of the decision", sigma, heard, len(probes))
+			}
+			// An arrival (incremental while churn stays under the
+			// threshold), then a burst that forces a rebuild.
+			d := Delta{Add: []Station{{Pos: net.Station(0)}}}
+			if step == 1 {
+				d = Delta{Remove: []int{1, 2, 3}}
+			}
+			if snap, err = dyn.Apply(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
