@@ -30,8 +30,8 @@
 //	sinrbench -only E18 -hotpath-sizes 16,64,256,1024 \
 //	          -hotpath-out BENCH_hotpath.json
 //
-// — the n=1024 leg builds a large Theorem 3 locator; expect minutes
-// on one core.
+// — the n=1024 leg builds a large Theorem 3 locator; expect about
+// 15 s on two cores.
 //
 // The -churn-* flags steer E19, the dynamic-churn comparison
 // (incremental epoch Apply vs from-scratch rebuild, with exact
@@ -72,7 +72,7 @@ func main() {
 	parallel := flag.Int("parallel", 0, "workers for concurrency-layer experiments (0 = NumCPU, 1 = serial)")
 	resolver := flag.String("resolver", "all", "restrict the E17 cross-backend comparison to one backend (exact, locator, voronoi, udg or all)")
 	resolversOut := flag.String("resolvers-out", "BENCH_resolvers.json", "path E17 writes its JSON artifact to (empty = no file)")
-	hotpathSizes := flag.String("hotpath-sizes", "16,64,256", "comma-separated network sizes of the E18 hot-path comparison (the committed artifact uses 16,64,256,1024; the n=1024 build takes minutes)")
+	hotpathSizes := flag.String("hotpath-sizes", "16,64,256", "comma-separated network sizes of the E18 hot-path comparison (the committed artifact uses 16,64,256,1024; the n=1024 build takes about 15 s on two cores)")
 	hotpathQueries := flag.Int("hotpath-queries", exp.DefaultHotPathQueries, "queries per workload in E18")
 	hotpathOut := flag.String("hotpath-out", "", "path E18 writes its JSON artifact to (empty = no file; the committed trajectory is regenerated explicitly, see CONTRIBUTING.md)")
 	churnSizes := flag.String("churn-sizes", "16,64,256", "comma-separated network sizes of the E19 dynamic-churn comparison (the committed artifact uses 16,64,256,1024)")

@@ -515,10 +515,10 @@ func run(cfg config) error {
 			return err
 		}
 		if mismatches > 0 {
-			return fmt.Errorf("%d of %d served answers differ from the local %s backend", mismatches, len(points), kind)
+			return fmt.Errorf("%d of %d served %s answers differ from %s", mismatches, len(points), kind, referenceName(kind))
 		}
-		fmt.Printf("verified: all %d served answers identical to the local %s backend across %d generation(s)\n",
-			len(points), kind, len(epochs))
+		fmt.Printf("verified: all %d served %s answers identical to %s across %d generation(s)\n",
+			len(points), kind, referenceName(kind), len(epochs))
 	}
 
 	if cfg.sched != "" {
@@ -613,12 +613,13 @@ func verifySchedule(out serve.ScheduleResponse, epochs map[uint64]*dynamic.Snaps
 // reference and compares every served answer against it: the scan
 // oracle (resolve.KindExact) for every SINR kind, whose served answers
 // are exact by construction, and a local UDG resolver for udg, a
-// different reception model. Checking the SINR kinds against the scan
-// rather than a local resolver of the same kind keeps the check
-// independent of the engine that answered. Batches are grouped by the generation that answered
-// them, so answers racing a swap or churn delta are checked against
-// the right station set. It returns the mismatch count; the caller
-// turns a nonzero count into a non-zero exit.
+// different reception model (referenceKind). Checking the SINR kinds
+// against the scan rather than a local resolver of the same kind keeps
+// the check independent of the engine that answered. Batches are
+// grouped by the generation that answered them, so answers racing a
+// swap or churn delta are checked against the right station set. It
+// returns the mismatch count; the caller turns a nonzero count into a
+// non-zero exit.
 func verifyServed(cfg config, kind resolve.Kind, epochs map[uint64]*dynamic.Snapshot,
 	points []geom.Point, served []int, servedVer []uint64, numBatches int) (int, error) {
 	byVer := make(map[uint64][]int)
@@ -644,10 +645,7 @@ func verifyServed(cfg config, kind resolve.Kind, epochs map[uint64]*dynamic.Snap
 		if !ok {
 			return 0, fmt.Errorf("server answered from version %d, which no local mutation produced", ver)
 		}
-		vkind := resolve.KindExact
-		if kind == resolve.KindUDG {
-			vkind = resolve.KindUDG
-		}
+		vkind := referenceKind(kind)
 		var vopts []resolve.Option
 		if cfg.radius > 0 {
 			vopts = append(vopts, resolve.WithRadius(cfg.radius))
@@ -674,14 +672,31 @@ func verifyServed(cfg config, kind resolve.Kind, epochs map[uint64]*dynamic.Snap
 		for i, a := range answers {
 			if want := resolve.StationIndex(a); got[i] != want {
 				if mismatches < 5 {
-					fmt.Fprintf(os.Stderr, "sinrload: version %d mismatch at %v: served %d, local %s backend %d\n",
-						ver, pts[i], got[i], vkind, want)
+					fmt.Fprintf(os.Stderr, "sinrload: version %d mismatch at %v: served %d, %s %d\n",
+						ver, pts[i], got[i], referenceName(kind), want)
 				}
 				mismatches++
 			}
 		}
 	}
 	return mismatches, nil
+}
+
+// referenceKind is the local backend verifyServed checks the served
+// answers of kind against.
+func referenceKind(kind resolve.Kind) resolve.Kind {
+	if kind == resolve.KindUDG {
+		return resolve.KindUDG
+	}
+	return resolve.KindExact
+}
+
+// referenceName names referenceKind(kind) in the run's report.
+func referenceName(kind resolve.Kind) string {
+	if referenceKind(kind) == resolve.KindUDG {
+		return "the local UDG resolver"
+	}
+	return "the local scan oracle"
 }
 
 func registration(name string, stations []geom.Point, noise, beta float64) serve.NetworkSpec {

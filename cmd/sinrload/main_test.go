@@ -54,7 +54,7 @@ func corruptingServer(srv *serve.Server) http.Handler {
 }
 
 // TestVerifyMismatchFailsRun is the exit-code regression test: when
-// served answers differ from the local backend, run must return an
+// served answers differ from the local reference, run must return an
 // error (which main turns into a non-zero exit), not report and
 // succeed.
 func TestVerifyMismatchFailsRun(t *testing.T) {
@@ -69,6 +69,11 @@ func TestVerifyMismatchFailsRun(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "differ") {
 		t.Fatalf("error %q does not report the mismatch", err)
+	}
+	// The locator's answers are checked against the scan oracle, not
+	// against a local locator, and the error must say so.
+	if !strings.Contains(err.Error(), "scan oracle") {
+		t.Fatalf("error %q does not name the scan oracle it checked against", err)
 	}
 
 	// Without -verify the corruption goes unnoticed — that asymmetry is

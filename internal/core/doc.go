@@ -23,9 +23,15 @@
 //     polynomial of a zone along a line and its root isolation.
 //   - grid.go — Section 5.1: the gamma-spaced grid and cell geometry.
 //   - brp.go — Section 5.1: the Boundary Reconstruction Process that
-//     traces a zone boundary cell to cell.
+//     traces a zone boundary cell to cell. Each sample is a radial
+//     probe warm-started from a tol-wide bracket around the radius at
+//     a nearby angle (Zone.radialBoundaryHinted in zone.go), which
+//     usually costs two SINR evaluations.
 //   - qds.go — Section 5.1: the per-zone structure classifying cells
-//     T+/T-/T? with area(H?) <= eps * area(H).
+//     T+/T-/T? with area(H?) <= eps * area(H). The T? ring, the 9-cells
+//     of the visited cells, is merged column by column from the sorted
+//     visited cells into a dense column table over one interval array,
+//     so neither the build nor Classify touches a map.
 //   - pointloc.go — Theorem 3: the combined locator (kd-tree
 //     nearest-station pre-filter per Observation 2.2, then one QDS
 //     cell lookup, O(log n) per query).

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/geom"
@@ -53,7 +55,11 @@ type QDS struct {
 	grid    Grid
 	eps     float64
 	bounds  ZoneBounds
-	cols    map[int]*qdsColumn
+	// cols is a dense table of the grid columns colMin, colMin+1, ...
+	// that hold T? cells; a column outside it, or one with no
+	// intervals, is all T-.
+	cols   []qdsColumn
+	colMin int
 	// numUncertain is the total count of T? cells.
 	numUncertain int
 	// pointZone marks degenerate zones (shared station location):
@@ -64,12 +70,11 @@ type QDS struct {
 }
 
 // qdsColumn stores the sorted, disjoint T? row intervals of one grid
-// column. Rows strictly between the column's outermost T? rows that
-// fall in no interval are T+; all other rows are T-.
+// column, a window of one backing array shared by all the columns of a
+// QDS. Rows strictly between the column's outermost T? rows that fall
+// in no interval are T+; all other rows are T-.
 type qdsColumn struct {
 	intervals []rowSpan
-	minRow    int
-	maxRow    int
 }
 
 // rowSpan is an inclusive row range [Lo, Hi].
@@ -100,7 +105,7 @@ func (n *Network) BuildQDS(k int, eps float64) (*QDS, error) {
 		return nil, fmt.Errorf("core: station index %d out of range [0, %d)", k, len(n.stations))
 	}
 	if n.SharesLocation(k) {
-		return &QDS{net: n, station: k, eps: eps, pointZone: true, cols: map[int]*qdsColumn{}}, nil
+		return &QDS{net: n, station: k, eps: eps, pointZone: true}, nil
 	}
 
 	bounds, err := n.SampledBounds(k, 128)
@@ -124,53 +129,96 @@ func (n *Network) BuildQDS(k int, eps float64) (*QDS, error) {
 
 	// Visited boundary cells, inflated to their 9-cells (the paper's
 	// ♯C), become the T? ring.
-	ring := make(map[Cell]struct{}, 16*len(trace)/2)
-	var prev Cell
-	havePrev := false
+	var visited []Cell
 	for _, p := range trace {
 		c := grid.CellOf(p)
-		if havePrev && c == prev {
+		if len(visited) > 0 && visited[len(visited)-1] == c {
 			continue
 		}
-		prev, havePrev = c, true
-		for _, nc := range grid.NineCell(c) {
-			ring[nc] = struct{}{}
-		}
+		visited = append(visited, c)
 	}
+	slices.SortFunc(visited, func(a, b Cell) int {
+		if a.Col != b.Col {
+			return cmp.Compare(a.Col, b.Col)
+		}
+		return cmp.Compare(a.Row, b.Row)
+	})
+	visited = slices.Compact(visited)
 
 	q := &QDS{
-		net:          n,
-		station:      k,
-		grid:         grid,
-		eps:          eps,
-		bounds:       bounds,
-		cols:         make(map[int]*qdsColumn),
-		numUncertain: len(ring),
+		net:     n,
+		station: k,
+		grid:    grid,
+		eps:     eps,
+		bounds:  bounds,
 	}
-	// Bucket ring rows by column.
-	rows := make(map[int][]int)
-	//sinr:nondeterministic-ok per-column row lists are sorted below before any interval is derived
-	for c := range ring {
-		rows[c.Col] = append(rows[c.Col], c.Row)
-	}
-	for col, rr := range rows {
-		sort.Ints(rr)
-		qc := &qdsColumn{minRow: rr[0], maxRow: rr[len(rr)-1]}
-		span := rowSpan{Lo: rr[0], Hi: rr[0]}
-		for _, r := range rr[1:] {
-			if r <= span.Hi+1 {
-				if r > span.Hi {
-					span.Hi = r
-				}
-				continue
-			}
-			qc.intervals = append(qc.intervals, span)
-			span = rowSpan{Lo: r, Hi: r}
-		}
-		qc.intervals = append(qc.intervals, span)
-		q.cols[col] = qc
-	}
+	q.buildRing(visited)
 	return q, nil
+}
+
+// buildRing stores the union of the 9-cells of the visited cells,
+// sorted by (col, row) without duplicates, as per-column T? row
+// intervals. Column c of the ring holds the rows r-1..r+1 of every
+// visited cell (c', r) with |c' - c| <= 1, so each column is built from
+// the rows of three visited columns.
+func (q *QDS) buildRing(visited []Cell) {
+	if len(visited) == 0 {
+		return
+	}
+	// start[j] is the index in visited of the first cell of column
+	// vMin+j; the cells of that column are visited[start[j]:start[j+1]].
+	vMin := visited[0].Col
+	width := visited[len(visited)-1].Col - vMin + 1
+	start := make([]int, width+1)
+	for _, c := range visited {
+		start[c.Col-vMin+1]++
+	}
+	for j := 1; j <= width; j++ {
+		start[j] += start[j-1]
+	}
+	column := func(col int) []Cell {
+		if j := col - vMin; j >= 0 && j < width {
+			return visited[start[j]:start[j+1]]
+		}
+		return nil
+	}
+
+	q.colMin = vMin - 1
+	q.cols = make([]qdsColumn, width+2)
+	ends := make([]int, len(q.cols))
+	// The boundary of a convex zone crosses a column at most twice, so
+	// the ring has about two intervals a column.
+	spans := make([]rowSpan, 0, 2*len(q.cols))
+	var rows []int // the visited rows of columns col-1, col and col+1
+	for j := range q.cols {
+		col := q.colMin + j
+		rows = rows[:0]
+		for d := -1; d <= 1; d++ {
+			for _, c := range column(col + d) {
+				rows = append(rows, c.Row)
+			}
+		}
+		slices.Sort(rows)
+		first := len(spans)
+		for _, r := range rows {
+			// Rows arrive in order, so [r-1, r+1] either extends the
+			// column's last interval or starts the next one.
+			if last := len(spans) - 1; last >= first && r-1 <= spans[last].Hi+1 {
+				spans[last].Hi = r + 1
+			} else {
+				spans = append(spans, rowSpan{Lo: r - 1, Hi: r + 1})
+			}
+		}
+		ends[j] = len(spans)
+	}
+	lo := 0
+	for j, hi := range ends {
+		q.cols[j].intervals = spans[lo:hi:hi]
+		lo = hi
+	}
+	for _, iv := range spans {
+		q.numUncertain += iv.Hi - iv.Lo + 1
+	}
 }
 
 // Station returns the index of the zone's station.
@@ -203,32 +251,20 @@ func (q *QDS) CoverBox() geom.Box {
 		pad := 2 * geom.Eps
 		return geom.NewBox(geom.Pt(s.X-pad, s.Y-pad), geom.Pt(s.X+pad, s.Y+pad))
 	}
-	first := true
-	var colMin, colMax, rowMin, rowMax int
-	//sinr:nondeterministic-ok commutative min/max reduction; result is order-independent
-	for col, qc := range q.cols {
-		if first {
-			colMin, colMax, rowMin, rowMax = col, col, qc.minRow, qc.maxRow
-			first = false
-			continue
-		}
-		if col < colMin {
-			colMin = col
-		}
-		if col > colMax {
-			colMax = col
-		}
-		if qc.minRow < rowMin {
-			rowMin = qc.minRow
-		}
-		if qc.maxRow > rowMax {
-			rowMax = qc.maxRow
-		}
-	}
-	if first {
+	if len(q.cols) == 0 {
 		// No stored columns: everything is T-; an inverted box indexes
 		// nowhere.
 		return geom.Box{Min: geom.Pt(1, 1), Max: geom.Pt(-1, -1)}
+	}
+	// The first and last columns of the table hold T? cells, since the
+	// ring is one column wider than the visited cells on each side.
+	colMin, colMax := q.colMin, q.colMin+len(q.cols)-1
+	rowMin, rowMax := math.MaxInt, math.MinInt
+	for _, c := range q.cols {
+		if iv := c.intervals; len(iv) > 0 {
+			rowMin = min(rowMin, iv[0].Lo)
+			rowMax = max(rowMax, iv[len(iv)-1].Hi)
+		}
 	}
 	pad := q.grid.Gamma
 	return geom.NewBox(
@@ -237,8 +273,16 @@ func (q *QDS) CoverBox() geom.Box {
 	)
 }
 
-// NumColumns returns the number of stored grid columns.
-func (q *QDS) NumColumns() int { return len(q.cols) }
+// NumColumns returns the number of grid columns holding T? cells.
+func (q *QDS) NumColumns() int {
+	cols := 0
+	for _, c := range q.cols {
+		if len(c.intervals) > 0 {
+			cols++
+		}
+	}
+	return cols
+}
 
 // UncertainArea returns area(H?) = |T?| * gamma^2.
 func (q *QDS) UncertainArea() float64 {
@@ -246,7 +290,9 @@ func (q *QDS) UncertainArea() float64 {
 }
 
 // Classify returns the classification of the cell containing p, in
-// O(1) map lookup plus O(log) within-column search.
+// O(1) column lookup plus O(log) within-column search. The column and
+// row are range-checked as floats, before CellOf's conversion to int,
+// so a NaN or infinite coordinate classifies T-.
 //
 //sinr:hotpath
 func (q *QDS) Classify(p geom.Point) CellType {
@@ -256,18 +302,21 @@ func (q *QDS) Classify(p geom.Point) CellType {
 		}
 		return TMinus
 	}
-	cell := q.grid.CellOf(p)
-	col, ok := q.cols[cell.Col]
-	if !ok {
+	g := q.grid
+	fx := math.Floor((p.X - g.Anchor.X) / g.Gamma)
+	if !(fx >= float64(q.colMin) && fx < float64(q.colMin+len(q.cols))) {
 		return TMinus
 	}
-	if cell.Row < col.minRow || cell.Row > col.maxRow {
-		return TMinus
-	}
-	// Binary search the sorted disjoint intervals.
+	col := &q.cols[int(fx)-q.colMin]
 	iv := col.intervals
-	i := sort.Search(len(iv), func(j int) bool { return iv[j].Hi >= cell.Row })
-	if i < len(iv) && iv[i].Lo <= cell.Row {
+	if len(iv) == 0 {
+		return TMinus
+	}
+	fy := math.Floor((p.Y - g.Anchor.Y) / g.Gamma)
+	if !(fy >= float64(iv[0].Lo) && fy <= float64(iv[len(iv)-1].Hi)) {
+		return TMinus
+	}
+	if col.covers(int(fy)) {
 		return TQuestion
 	}
 	// Not in any T? interval but strictly between the column's
@@ -288,15 +337,12 @@ func (q *QDS) VerifyColumns() (int, error) {
 	}
 	bad := 0
 	extent := q.bounds.DeltaUpper * 2
-	// Iterate columns in sorted order so the early error return below
-	// surfaces the same column on every run.
-	cols := make([]int, 0, len(q.cols))
-	for col := range q.cols {
-		cols = append(cols, col)
-	}
-	sort.Ints(cols)
-	for _, col := range cols {
-		qc := q.cols[col]
+	for j := range q.cols {
+		qc := &q.cols[j]
+		if len(qc.intervals) == 0 {
+			continue
+		}
+		col := q.colMin + j
 		x := q.grid.ColumnX(col) + q.grid.Gamma/2
 		line := geom.Line{P: geom.Pt(x, q.grid.Anchor.Y), D: geom.Pt(0, 1)}
 		roots, err := q.net.LineBoundaryCrossings(q.station, line, q.grid.Gamma/1024)

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/geom"
@@ -192,4 +193,99 @@ func TestQDSStationCellInterior(t *testing.T) {
 			t.Fatalf("trial %d: station classified T-", trial)
 		}
 	}
+}
+
+// TestQDSRingMatchesNineCellUnion pins the column-merge assembly of the
+// T? ring to its definition: the union of the 9-cells of the cells the
+// boundary trace visits. The reference ring is a set built from the
+// same trace. Every station's |T?| and column count must match it, and
+// every cell centre of a swept station's cover box must classify as the
+// set's column rule says: T? in the set, T+ strictly between its
+// column's outermost T? rows, T- otherwise.
+func TestQDSRingMatchesNineCellUnion(t *testing.T) {
+	for _, size := range []int{8, 24} {
+		net := testNetwork(t, int64(100+size), size)
+		for _, eps := range []float64{0.1, 0.3} {
+			for k := 0; k < net.NumStations(); k++ {
+				q := buildTestQDS(t, net, k, eps)
+				z, _ := net.Zone(k)
+				trace, err := z.TraceBoundary(q.Gamma(), BRPOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				grid, err := NewGrid(net.Station(k), q.Gamma())
+				if err != nil {
+					t.Fatal(err)
+				}
+				ring := map[Cell]struct{}{}
+				for _, p := range trace {
+					for _, c := range grid.NineCell(grid.CellOf(p)) {
+						ring[c] = struct{}{}
+					}
+				}
+				if got, want := q.NumUncertainCells(), len(ring); got != want {
+					t.Fatalf("n=%d eps=%v station %d: |T?| = %d, 9-cell union has %d", size, eps, k, got, want)
+				}
+				// The set's rows per column, sorted, so the sweep below
+				// reads the rule off in order instead of by lookup.
+				rows := map[int][]int{}
+				for c := range ring {
+					rows[c.Col] = append(rows[c.Col], c.Row)
+				}
+				for _, rr := range rows {
+					sort.Ints(rr)
+				}
+				if got, want := q.NumColumns(), len(rows); got != want {
+					t.Fatalf("n=%d eps=%v station %d: %d columns, 9-cell union spans %d", size, eps, k, got, want)
+				}
+				// A cover box holds about (80 phi^2 / eps)^2 cells for
+				// fatness phi, some 6M at eps = 0.1, so every fourth
+				// station is swept.
+				if k%4 == 0 {
+					if c, got, want := sweepCoverBox(q, grid, rows); got != want {
+						t.Fatalf("n=%d eps=%v station %d: cell %v classifies %v, 9-cell rule says %v",
+							size, eps, k, c, got, want)
+					}
+				}
+				s := net.Station(k)
+				nan, inf := math.NaN(), math.Inf(1)
+				for _, p := range []geom.Point{
+					{X: nan, Y: s.Y}, {X: s.X, Y: nan}, {X: nan, Y: nan},
+					{X: inf, Y: s.Y}, {X: -inf, Y: s.Y}, {X: s.X, Y: inf}, {X: s.X, Y: -inf},
+					{X: inf, Y: -inf},
+				} {
+					if got := q.Classify(p); got != TMinus {
+						t.Fatalf("n=%d eps=%v station %d: Classify(%v) = %v, want T-", size, eps, k, p, got)
+					}
+				}
+			}
+		}
+	}
+}
+
+// sweepCoverBox classifies the centre of every cell of q's cover box
+// and returns the first cell whose class differs from the column rule
+// over rows, the sorted T? rows of each column, with both classes.
+func sweepCoverBox(q *QDS, grid Grid, rows map[int][]int) (Cell, CellType, CellType) {
+	box := q.CoverBox()
+	lo, hi := grid.CellOf(box.Min), grid.CellOf(box.Max)
+	for col := lo.Col; col <= hi.Col; col++ {
+		rr := rows[col]
+		next := 0 // rr[next] is the first T? row at or above row
+		for row := lo.Row; row <= hi.Row; row++ {
+			want := TMinus
+			switch {
+			case next < len(rr) && rr[next] == row:
+				want = TQuestion
+				next++
+			case len(rr) > 0 && row > rr[0] && row < rr[len(rr)-1]:
+				want = TPlus
+			}
+			c := Cell{Col: col, Row: row}
+			if got := q.Classify(grid.CellCenter(c)); got != want {
+				return c, got, want
+			}
+		}
+	}
+	return Cell{}, TMinus, TMinus
 }

@@ -67,7 +67,7 @@ func (z *Zone) RadialBoundary(theta, tol float64) (float64, error) {
 	if z.IsPointZone() {
 		return 0, nil
 	}
-	s := z.Station()
+	ray := z.ray(theta)
 
 	// Initial probe scale: the nearest-peer distance, or 1 for a
 	// single-station network.
@@ -77,7 +77,7 @@ func (z *Zone) RadialBoundary(theta, tol float64) (float64, error) {
 	}
 	lo := 0.0
 	dbl := 0
-	for z.net.Heard(z.idx, geom.PolarPoint(s, hi, theta)) {
+	for z.net.Heard(z.idx, ray.at(hi)) {
 		lo = hi
 		hi *= 2
 		dbl++
@@ -85,47 +85,93 @@ func (z *Zone) RadialBoundary(theta, tol float64) (float64, error) {
 			return 0, fmt.Errorf("core: zone appears unbounded along theta=%v", theta)
 		}
 	}
-	for hi-lo > tol {
-		mid := (lo + hi) / 2
-		if mid <= lo || mid >= hi {
-			break
-		}
-		if z.net.Heard(z.idx, geom.PolarPoint(s, mid, theta)) {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2, nil
+	return z.bisect(ray, lo, hi, tol), nil
 }
 
 // radialBoundaryHinted is RadialBoundary with a warm-start bracket
 // around an expected radius (e.g. the boundary distance at a nearby
-// angle during a trace). If the hint bracket does not straddle the
-// boundary it falls back to the cold search. Callers must have already
-// validated the star-shape preconditions.
+// angle during a trace). The bracket starts tol wide, centred on the
+// hint. While its lo end is not heard, that end becomes hi and lo
+// steps down; while its hi end is heard, that end becomes lo and hi
+// steps up; each step doubles the last. Both ends of the bracket that
+// reaches the bisection are evaluated, never assumed. A step that
+// would leave [0.85*hint, 1.18*hint] falls back to the cold search.
+// Within a trace the hint is off by about gamma^2/(32r), a small
+// fraction of tol, so a probe usually costs two SINR evaluations.
+// Callers must have already validated the star-shape preconditions.
 func (z *Zone) radialBoundaryHinted(theta, tol, hint float64) (float64, error) {
 	if hint <= 0 {
 		return z.RadialBoundary(theta, tol)
 	}
-	s := z.Station()
-	lo, hi := hint*0.85, hint*1.18
-	if !z.net.Heard(z.idx, geom.PolarPoint(s, lo, theta)) ||
-		z.net.Heard(z.idx, geom.PolarPoint(s, hi, theta)) {
+	ray := z.ray(theta)
+	minR, maxR := hint*0.85, hint*1.18
+	// A hair under tol wide: with ends at exactly hint ± tol/2, rounding
+	// makes about half the brackets wider than tol, and each of those
+	// would pay one more evaluation in bisect.
+	lo, hi := hint-0.499*tol, hint+0.499*tol
+	// Negated, so that a NaN tol (BRPOptions.Tol is the caller's) takes
+	// the cold search instead of stepping forever.
+	if !(lo >= minR && hi <= maxR) {
 		return z.RadialBoundary(theta, tol)
 	}
+	step := tol
+	if !z.net.Heard(z.idx, ray.at(lo)) {
+		for {
+			lo, hi = lo-step, lo
+			step *= 2
+			if lo < minR {
+				return z.RadialBoundary(theta, tol)
+			}
+			if z.net.Heard(z.idx, ray.at(lo)) {
+				break
+			}
+		}
+	} else {
+		for z.net.Heard(z.idx, ray.at(hi)) {
+			lo, hi = hi, hi+step
+			step *= 2
+			if hi > maxR {
+				return z.RadialBoundary(theta, tol)
+			}
+		}
+	}
+	return z.bisect(ray, lo, hi, tol), nil
+}
+
+// bisect narrows a bracket whose lo end is heard and whose hi end is
+// not until it is at most tol wide (or float resolution stalls it), and
+// returns its midpoint.
+func (z *Zone) bisect(ray polarRay, lo, hi, tol float64) float64 {
 	for hi-lo > tol {
 		mid := (lo + hi) / 2
 		if mid <= lo || mid >= hi {
 			break
 		}
-		if z.net.Heard(z.idx, geom.PolarPoint(s, mid, theta)) {
+		if z.net.Heard(z.idx, ray.at(mid)) {
 			lo = mid
 		} else {
 			hi = mid
 		}
 	}
-	return (lo + hi) / 2, nil
+	return (lo + hi) / 2
+}
+
+// polarRay is the ray from a station at angle theta, with the angle's
+// cosine and sine computed once for all the probes along it.
+type polarRay struct {
+	s     geom.Point
+	c, sn float64
+}
+
+// ray returns the ray from the zone's station at angle theta.
+func (z *Zone) ray(theta float64) polarRay {
+	return polarRay{s: z.Station(), c: math.Cos(theta), sn: math.Sin(theta)}
+}
+
+// at returns the point at distance r along the ray, bit for bit
+// geom.PolarPoint(s, r, theta).
+func (ray polarRay) at(r float64) geom.Point {
+	return geom.Point{X: ray.s.X + r*ray.c, Y: ray.s.Y + r*ray.sn}
 }
 
 // BoundaryPoint returns the boundary point of the zone along direction

@@ -206,3 +206,51 @@ func TestSampleBoundaryValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestRadialBoundaryHintedMatchesCold: the warm-started probe of the
+// boundary trace lands within tol of the cold search for hints on the
+// boundary, a fraction of tol off it (the bracket straddles at once),
+// several tol off it (the bracket has to move), 10% off it (many
+// doubling steps) and 30% off it (a step leaves the window and the
+// probe falls back to the cold search). A NaN tol takes the cold
+// search too.
+func TestRadialBoundaryHintedMatchesCold(t *testing.T) {
+	nets := []*Network{
+		twoStation(t),
+		mustNet(t, []geom.Point{geom.Pt(0, 0), geom.Pt(1.3, 0.4), geom.Pt(-0.9, 1.2)}, 0.02, 2.5),
+		testNetwork(t, 42, 24),
+	}
+	for ni, n := range nets {
+		z, _ := n.Zone(0)
+		for _, theta := range []float64{0, 0.7, math.Pi / 2, 2.9, 4.4, 6} {
+			cold, err := z.RadialBoundary(theta, 1e-12)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nanCold, _ := z.RadialBoundary(theta, math.NaN())
+			if got, err := z.radialBoundaryHinted(theta, math.NaN(), cold); err != nil || got != nanCold {
+				t.Errorf("net %d theta %v: NaN tol gave %v, %v; the cold search gives %v", ni, theta, got, err, nanCold)
+			}
+			for _, tol := range []float64{cold / 200, cold / 5000} {
+				r, err := z.RadialBoundary(theta, tol)
+				if err != nil {
+					t.Fatal(err)
+				}
+				hints := []float64{r, r * 1.1, r * 0.9, r * 1.3, r * 0.7}
+				for _, k := range []float64{0.3, 3, 30} {
+					hints = append(hints, r+k*tol, r-k*tol)
+				}
+				for _, hint := range hints {
+					got, err := z.radialBoundaryHinted(theta, tol, hint)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if d := math.Abs(got - r); d > tol {
+						t.Errorf("net %d theta %v tol %.3g hint %v: hinted %v, cold %v (off by %.3g tol)",
+							ni, theta, tol, hint, got, r, d/tol)
+					}
+				}
+			}
+		}
+	}
+}

@@ -40,23 +40,35 @@ func benchNet(b *testing.B, n int, sigma float64) (*core.Network, geom.Box) {
 	return net, box
 }
 
+// applyRun is the number of deltas BenchmarkDynamicApply applies to
+// one engine before it re-creates the engine, untimed.
+const applyRun = 64
+
 // BenchmarkDynamicApply measures one single-station incremental delta
 // (the churn hot path): an arrival and a departure alternate so the
 // station count stays fixed. The rebuild threshold is disabled so the
-// measurement is purely the incremental path.
+// measurement is purely the incremental path. The slot table then grows
+// by one slot per arrival and an Apply costs O(slots), so the engine is
+// re-created every applyRun deltas; otherwise the per-op cost would
+// grow with b.N.
 func BenchmarkDynamicApply(b *testing.B) {
 	for _, n := range []int{64, 256, 1024} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			net, box := benchNet(b, n, 0)
-			dyn, err := New(net, WithRebuildFraction(math.Inf(1)))
-			if err != nil {
-				b.Fatal(err)
-			}
 			gen := workload.NewGenerator(1)
 			arrivals := gen.QueryPoints(b.N+1, box)
+			var dyn *Network
+			var err error
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				if i%applyRun == 0 {
+					b.StopTimer()
+					if dyn, err = New(net, WithRebuildFraction(math.Inf(1))); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
 				if i%2 == 0 {
 					_, err = dyn.Apply(Delta{Add: []Station{{Pos: arrivals[i/2]}}})
 				} else {

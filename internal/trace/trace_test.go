@@ -79,6 +79,41 @@ func TestParseTraceparentFutureVersions(t *testing.T) {
 	}
 }
 
+// FuzzParseTraceparent fuzzes the inbound traceparent header parser:
+// it never panics, an accepted header carries a nonzero trace ID and
+// parent span ID that FormatTraceparent renders into a header parsing
+// back to the same pair, and a rejected one returns zero values.
+func FuzzParseTraceparent(f *testing.F) {
+	valid := "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
+	for _, h := range []string{
+		valid,
+		strings.ToUpper(valid),
+		"ff" + valid[2:],
+		"cc" + valid[2:] + "-extra-fields",
+		"00-" + strings.Repeat("0", 32) + "-" + strings.Repeat("0", 16) + "-01",
+	} {
+		f.Add(h)
+	}
+	f.Fuzz(func(t *testing.T, h string) {
+		id, sp, ok := ParseTraceparent(h)
+		if !ok {
+			if id != (ID{}) || sp != (SpanID{}) {
+				t.Fatalf("ParseTraceparent(%q) rejected the header but returned (%s, %s)", h, id, sp)
+			}
+			return
+		}
+		if id.IsZero() || sp == (SpanID{}) {
+			t.Fatalf("ParseTraceparent(%q) accepted a zero ID: (%s, %s)", h, id, sp)
+		}
+		out := FormatTraceparent(id, sp)
+		id2, sp2, ok := ParseTraceparent(out)
+		if !ok || id2 != id || sp2 != sp {
+			t.Fatalf("ParseTraceparent(%q) = (%s, %s), but its rendering %q parses to (%s, %s, %v)",
+				h, id, sp, out, id2, sp2, ok)
+		}
+	})
+}
+
 func TestIDSourceUnifiesRequestAndTraceIDs(t *testing.T) {
 	src := NewIDSource()
 	a, b := src.Next(), src.Next()
