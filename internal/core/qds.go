@@ -55,11 +55,14 @@ type QDS struct {
 	grid    Grid
 	eps     float64
 	bounds  ZoneBounds
-	// cols is a dense table of the grid columns colMin, colMin+1, ...
-	// that hold T? cells; a column outside it, or one with no
-	// intervals, is all T-.
-	cols   []qdsColumn
-	colMin int
+	// spans holds the T? row intervals of the grid columns colMin,
+	// colMin+1, ... in column order; column colMin+j holds
+	// spans[colStart[j]:colStart[j+1]]. A column outside the table, or
+	// one with no intervals, is all T-. (An int32 start overflows only
+	// past 2^31 intervals, 32 GiB of them.)
+	spans    []rowSpan
+	colStart []int32
+	colMin   int
 	// numUncertain is the total count of T? cells.
 	numUncertain int
 	// pointZone marks degenerate zones (shared station location):
@@ -69,18 +72,15 @@ type QDS struct {
 	pointZone bool
 }
 
-// qdsColumn stores the sorted, disjoint T? row intervals of one grid
-// column, a window of one backing array shared by all the columns of a
-// QDS. Rows strictly between the column's outermost T? rows that fall
-// in no interval are T+; all other rows are T-.
-type qdsColumn struct {
-	intervals []rowSpan
-}
-
 // rowSpan is an inclusive row range [Lo, Hi].
 type rowSpan struct {
 	Lo, Hi int
 }
+
+// rowSpans are the sorted, disjoint T? row intervals of one grid
+// column. Rows strictly between the column's outermost T? rows that
+// fall in no interval are T+; all other rows are T-.
+type rowSpans []rowSpan
 
 // BuildQDS constructs the Section 5.1 data structure for station k's
 // reception zone with performance parameter 0 < eps < 1. Requirements
@@ -184,13 +184,13 @@ func (q *QDS) buildRing(visited []Cell) {
 	}
 
 	q.colMin = vMin - 1
-	q.cols = make([]qdsColumn, width+2)
-	ends := make([]int, len(q.cols))
+	cols := width + 2
+	q.colStart = make([]int32, cols+1)
 	// The boundary of a convex zone crosses a column at most twice, so
 	// the ring has about two intervals a column.
-	spans := make([]rowSpan, 0, 2*len(q.cols))
+	spans := make([]rowSpan, 0, 2*cols)
 	var rows []int // the visited rows of columns col-1, col and col+1
-	for j := range q.cols {
+	for j := 0; j < cols; j++ {
 		col := q.colMin + j
 		rows = rows[:0]
 		for d := -1; d <= 1; d++ {
@@ -209,13 +209,9 @@ func (q *QDS) buildRing(visited []Cell) {
 				spans = append(spans, rowSpan{Lo: r - 1, Hi: r + 1})
 			}
 		}
-		ends[j] = len(spans)
+		q.colStart[j+1] = int32(len(spans))
 	}
-	lo := 0
-	for j, hi := range ends {
-		q.cols[j].intervals = spans[lo:hi:hi]
-		lo = hi
-	}
+	q.spans = spans
 	for _, iv := range spans {
 		q.numUncertain += iv.Hi - iv.Lo + 1
 	}
@@ -251,17 +247,17 @@ func (q *QDS) CoverBox() geom.Box {
 		pad := 2 * geom.Eps
 		return geom.NewBox(geom.Pt(s.X-pad, s.Y-pad), geom.Pt(s.X+pad, s.Y+pad))
 	}
-	if len(q.cols) == 0 {
+	if q.numColumns() == 0 {
 		// No stored columns: everything is T-; an inverted box indexes
 		// nowhere.
 		return geom.Box{Min: geom.Pt(1, 1), Max: geom.Pt(-1, -1)}
 	}
 	// The first and last columns of the table hold T? cells, since the
 	// ring is one column wider than the visited cells on each side.
-	colMin, colMax := q.colMin, q.colMin+len(q.cols)-1
+	colMin, colMax := q.colMin, q.colMin+q.numColumns()-1
 	rowMin, rowMax := math.MaxInt, math.MinInt
-	for _, c := range q.cols {
-		if iv := c.intervals; len(iv) > 0 {
+	for j := range q.numColumns() {
+		if iv := q.column(j); len(iv) > 0 {
 			rowMin = min(rowMin, iv[0].Lo)
 			rowMax = max(rowMax, iv[len(iv)-1].Hi)
 		}
@@ -276,13 +272,20 @@ func (q *QDS) CoverBox() geom.Box {
 // NumColumns returns the number of grid columns holding T? cells.
 func (q *QDS) NumColumns() int {
 	cols := 0
-	for _, c := range q.cols {
-		if len(c.intervals) > 0 {
+	for j := range q.numColumns() {
+		if len(q.column(j)) > 0 {
 			cols++
 		}
 	}
 	return cols
 }
+
+// numColumns returns the length of the column table.
+func (q *QDS) numColumns() int { return max(len(q.colStart)-1, 0) }
+
+// column returns the T? intervals of table column j (grid column
+// colMin+j).
+func (q *QDS) column(j int) rowSpans { return q.spans[q.colStart[j]:q.colStart[j+1]] }
 
 // UncertainArea returns area(H?) = |T?| * gamma^2.
 func (q *QDS) UncertainArea() float64 {
@@ -304,11 +307,10 @@ func (q *QDS) Classify(p geom.Point) CellType {
 	}
 	g := q.grid
 	fx := math.Floor((p.X - g.Anchor.X) / g.Gamma)
-	if !(fx >= float64(q.colMin) && fx < float64(q.colMin+len(q.cols))) {
+	if !(fx >= float64(q.colMin) && fx < float64(q.colMin+q.numColumns())) {
 		return TMinus
 	}
-	col := &q.cols[int(fx)-q.colMin]
-	iv := col.intervals
+	iv := q.column(int(fx) - q.colMin)
 	if len(iv) == 0 {
 		return TMinus
 	}
@@ -316,7 +318,7 @@ func (q *QDS) Classify(p geom.Point) CellType {
 	if !(fy >= float64(iv[0].Lo) && fy <= float64(iv[len(iv)-1].Hi)) {
 		return TMinus
 	}
-	if col.covers(int(fy)) {
+	if iv.covers(int(fy)) {
 		return TQuestion
 	}
 	// Not in any T? interval but strictly between the column's
@@ -337,9 +339,9 @@ func (q *QDS) VerifyColumns() (int, error) {
 	}
 	bad := 0
 	extent := q.bounds.DeltaUpper * 2
-	for j := range q.cols {
-		qc := &q.cols[j]
-		if len(qc.intervals) == 0 {
+	for j := range q.numColumns() {
+		iv := q.column(j)
+		if len(iv) == 0 {
 			continue
 		}
 		col := q.colMin + j
@@ -354,7 +356,7 @@ func (q *QDS) VerifyColumns() (int, error) {
 				continue // crossing of another zone's far lobe, not ours
 			}
 			row := q.grid.CellOf(line.At(t)).Row
-			if !qc.covers(row) {
+			if !iv.covers(row) {
 				bad++
 			}
 		}
@@ -362,9 +364,10 @@ func (q *QDS) VerifyColumns() (int, error) {
 	return bad, nil
 }
 
+// covers reports whether an interval of iv holds row.
+//
 //sinr:hotpath
-func (c *qdsColumn) covers(row int) bool {
-	iv := c.intervals
+func (iv rowSpans) covers(row int) bool {
 	i := sort.Search(len(iv), func(j int) bool { return iv[j].Hi >= row })
 	return i < len(iv) && iv[i].Lo <= row
 }

@@ -45,48 +45,73 @@ func benchNet(b *testing.B, n int, sigma float64) (*core.Network, geom.Box) {
 const applyRun = 64
 
 // BenchmarkDynamicApply measures one single-station incremental delta
-// (the churn hot path): an arrival and a departure alternate so the
-// station count stays fixed. The rebuild threshold is disabled so the
-// measurement is purely the incremental path. The slot table then grows
-// by one slot per arrival and an Apply costs O(slots), so the engine is
-// re-created every applyRun deltas; otherwise the per-op cost would
-// grow with b.N.
+// (the churn hot path). The rebuild threshold is disabled so the
+// measurement is purely the incremental path. Four legs, each keeping
+// the station count fixed:
+//
+//   - n=N: an arrival and the departure of that arrival alternate. The
+//     arrival bounds no box, so only its own box is derived.
+//   - depart/n=N: an original station departs and an arrival takes its
+//     place, so the boxes the departed station bounds are re-derived.
+//   - lower/n=N: an original station's power drops from 1 to 1/2; its
+//     box and the boxes it bounds are re-derived.
+//   - raise/n=N: an original station's power rises from 1 to 2; only
+//     its own box is.
+//
+// The slot table grows by at least one slot per delta and an Apply
+// costs O(slots), so the engine is re-created every applyRun deltas;
+// otherwise the per-op cost would grow with b.N.
 func BenchmarkDynamicApply(b *testing.B) {
-	for _, n := range []int{64, 256, 1024} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			net, box := benchNet(b, n, 0)
-			gen := workload.NewGenerator(1)
-			arrivals := gen.QueryPoints(b.N+1, box)
-			var dyn *Network
-			var err error
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if i%applyRun == 0 {
-					b.StopTimer()
-					if dyn, err = New(net, WithRebuildFraction(math.Inf(1))); err != nil {
+	for _, leg := range []string{"", "depart/", "lower/", "raise/"} {
+		for _, n := range []int{64, 256, 1024} {
+			b.Run(fmt.Sprintf("%sn=%d", leg, n), func(b *testing.B) {
+				net, box := benchNet(b, n, 0)
+				gen := workload.NewGenerator(1)
+				arrivals := gen.QueryPoints(b.N+1, box)
+				var dyn *Network
+				var err error
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					k := i % applyRun
+					if k == 0 {
+						b.StopTimer()
+						if dyn, err = New(net, WithRebuildFraction(math.Inf(1))); err != nil {
+							b.Fatal(err)
+						}
+						b.StartTimer()
+					}
+					var d Delta
+					switch {
+					case leg == "lower/":
+						d.SetPower = []PowerUpdate{{Station: k % n, Power: 0.5}}
+					case leg == "raise/":
+						d.SetPower = []PowerUpdate{{Station: k % n, Power: 2}}
+					case k%2 == 0:
+						d.Add = []Station{{Pos: arrivals[i/2]}}
+					case leg == "depart/":
+						// Each departure shifts the originals after it down
+						// by one, so index k/2 is original station k-1.
+						d.Remove = []int{k / 2}
+					default:
+						d.Remove = []int{n}
+					}
+					if _, err = dyn.Apply(d); err != nil {
 						b.Fatal(err)
 					}
-					b.StartTimer()
 				}
-				if i%2 == 0 {
-					_, err = dyn.Apply(Delta{Add: []Station{{Pos: arrivals[i/2]}}})
-				} else {
-					_, err = dyn.Apply(Delta{Remove: []int{n}})
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+			})
+		}
 	}
 }
 
 // BenchmarkDynamicRebuild measures the from-scratch baseline an
 // incremental Apply replaces: building the whole engine (network copy,
-// kd-tree, cover boxes, grid) on an unchanged station set.
+// dominance cover boxes, grid and, from 1024 stations, the far-field
+// check) on an unchanged station set. n=10000 is the build behind the
+// dense-boundary workload's setup.
 func BenchmarkDynamicRebuild(b *testing.B) {
-	for _, n := range []int{64, 256, 1024} {
+	for _, n := range []int{64, 256, 1024, 10000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			net, _ := benchNet(b, n, 0)
 			b.ReportAllocs()
@@ -101,26 +126,36 @@ func BenchmarkDynamicRebuild(b *testing.B) {
 }
 
 // BenchmarkDynamicLocate measures the epoch-snapshot query hot path on
-// a post-churn snapshot (base tree + overlay extras + patched grid):
-// the nearest-station path on uniform networks, and on the lognormal
-// leg (log-normal powers, sigma 0.5, plus power-walk deltas) the
-// strongest-station path. The farfield leg queries a rebuild-path
-// snapshot of 10^4 stations, which carries the certified far-field
-// check, at Theorem 4.1 annulus points (the dense-boundary workload's).
-// It must report 0 allocs/op — the CI bench gate enforces it.
+// a post-churn snapshot (re-derived cover boxes in a patched grid):
+// the strongest box hit and one SINR check, at uniform power and on
+// the lognormal leg (log-normal powers, sigma 0.5, plus power-walk
+// deltas). The noiseless leg has no grid, so each point pays
+// core.Network.Strongest before its check. The farfield leg queries a
+// rebuild-path snapshot of 10^4 stations, which carries the certified
+// far-field check, at Theorem 4.1 annulus points (the dense-boundary
+// workload's). It must report 0 allocs/op — the CI bench gate enforces
+// it.
 func BenchmarkDynamicLocate(b *testing.B) {
 	for _, bc := range []struct {
-		name  string
-		n     int
-		sigma float64
+		name      string
+		n         int
+		sigma     float64
+		noiseless bool
 	}{
-		{"n=64", 64, 0},
-		{"n=1024", 1024, 0},
-		{"lognormal/n=512", 512, 0.5},
+		{"n=64", 64, 0, false},
+		{"n=1024", 1024, 0, false},
+		{"lognormal/n=512", 512, 0.5, false},
+		{"noiseless/n=512", 512, 0.5, true},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			n := bc.n
 			net, box := benchNet(b, n, bc.sigma)
+			if bc.noiseless {
+				var err error
+				if net, err = net.WithNoise(0); err != nil {
+					b.Fatal(err)
+				}
+			}
 			dyn, err := New(net, WithRebuildFraction(math.Inf(1)))
 			if err != nil {
 				b.Fatal(err)

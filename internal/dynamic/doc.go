@@ -15,30 +15,45 @@
 //   - the canonical station/power slices are copied (O(n) memcpy, the
 //     floor any index-compacting representation pays);
 //   - each station owns a stable slot whose location, power and
-//     conservative zone cover box never change, so an arrival or
-//     departure touches exactly the grid cells of its own box
+//     certified zone cover box never change, so a delta touches only
+//     the grid cells of the boxes it retires and admits
 //     (shardindex.Index, the grid type the Theorem 3 locator also
-//     uses, patched copy-on-write per delta by Update);
-//   - the kd-tree is not rebuilt: the base tree of the last full build
-//     answers through an index-remapping filter (kdtree.NearestMapped)
-//     and stations admitted since are scanned as a small overlay.
+//     uses, patched copy-on-write per delta by Update).
+//
+// The cover boxes. The noise box — the square of half-side
+// (psi/(beta*N))^(1/alpha) around a station, which reception needs
+// whatever the others do — frames the grid. For beta > 1 reception
+// also needs E_i >= beta*E_j for every other station j, an Apollonius
+// disc around s_i whenever beta*psi_j > psi_i (Observation 2.2: only
+// the strongest station can be heard). Each station's box is its
+// noise box cut by the discs of the stations within three quarters of
+// its noise radius, under a proven rounding margin, which shrinks a
+// box from about 5.8 to about 1 station spacing on the E18 geometry.
+// Each box records, per side, which station's disc bounds it. An
+// arrival or a power increase only shrinks other zones, so it derives
+// just its own box; a departure or a power drop re-derives the boxes
+// it bounds, copy-on-write like a repower. A station keeps its
+// identity (the slot it arrived with) through its own re-derivations,
+// so they never cascade.
 //
 // Once cumulative churn exceeds a threshold fraction of the station
 // count at the last full build (WithRebuildFraction), the next Apply
 // rebuilds everything from scratch and resets the accounting — the
-// classic static-dynamic amortization, keeping the overlay small and
-// query cost bounded. ApplyStats on every snapshot says which path ran.
+// classic static-dynamic amortization, keeping the slot table small.
+// ApplyStats on every snapshot says which path ran.
 //
-// Snapshots answer queries exactly (Snapshot.Locate / HeardBy): one
-// grid lookup certifies most of the plane H-, and for beta > 1 the
-// Observation 2.2 single-candidate reduction plus a single SINR check
-// settles covered points — the nearest station under uniform power,
-// the strongest-signal station (core.Network.Strongest) under
-// per-station powers. Only beta <= 1 networks, where several stations
-// may be heard, take the exact scan. Answers equal a from-scratch
-// build on the same station set point-for-point — the property tests
-// pin this against core.BuildLocator with and without its spatial
-// index, and against Network.HeardBy.
+// Snapshots answer queries exactly (Snapshot.Locate / HeardBy). For
+// beta > 1 one grid lookup yields the cover boxes holding the point:
+// no hit certifies H- (about half of uniform traffic on the E18
+// geometry), and otherwise the strongest hit is the one candidate of
+// the Observation 2.2 reduction and a single SINR check settles it.
+// Noiseless networks have no grid and take core.Network.Strongest, one
+// O(n) pass, as the candidate. Only beta <= 1 networks, where several
+// stations may be heard, take the noise boxes' H- exit and then the
+// exact scan. Answers equal a from-scratch build on the same station
+// set point-for-point — the property tests pin this against
+// core.BuildLocator with and without its spatial index, and against
+// Network.HeardBy.
 //
 // The SINR check. On an epoch built by the rebuild path with at least
 // 1024 stations, the candidate test goes through core.FarField: a

@@ -3,12 +3,12 @@ package dynamic
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/geom"
-	"repro/internal/kdtree"
 	"repro/internal/shardindex"
 )
 
@@ -17,8 +17,9 @@ import (
 // this fraction of the station count at that build, the next Apply
 // rebuilds every derived structure from scratch instead of patching.
 // Below it, single-station deltas stay on the incremental path, whose
-// cost is O(n) copy-on-write bookkeeping instead of the O(n log n)
-// kd-tree sort plus grid construction of a full build.
+// cost is O(n) copy-on-write bookkeeping instead of the cover-box
+// derivation, grid construction and (from farFieldMinStations) the
+// far-field tree of a full build.
 const DefaultRebuildFraction = 0.25
 
 // farFieldMinStations is the station count from which a rebuild also
@@ -105,76 +106,46 @@ type ApplyStats struct {
 
 // slots is the append-only stable-slot table behind one rebuild
 // generation: a station admitted to the network gets a slot id whose
-// location, power and cover box never change (a power update admits a
-// fresh slot at the same network position). Slots are appended under
-// the engine mutex; snapshots capture bounded views, so concurrent
-// readers never observe an append.
+// location, power and cover box never change. A power update, or a
+// cover box re-derived because a station bounding it departed or lost
+// power, admits a fresh slot at the same network position. Slots are
+// appended under the engine mutex; snapshots capture bounded views, so
+// concurrent readers never observe an append.
 type slots struct {
 	pts    []geom.Point
 	powers []float64
 	boxes  []shardindex.Box
+	// ident names the station a slot belongs to: the id of the slot
+	// it arrived with (or got at the last rebuild). A repower or a
+	// re-derived box keeps it, so re-deriving a box never invalidates
+	// the boxes its station bounds.
+	ident []int32
+	// deps[id] holds, per side of boxes[id] (MinX, MinY, MaxX, MaxY),
+	// the identity of the station whose dominance disc bounds it, or -1
+	// where the noise box does.
+	deps [][4]int32
+	// binder[j] is set once identity j bounds a side of some box, so
+	// an Apply whose departures and power drops bound nothing skips
+	// the scan for dependent boxes. Engine-private: snapshots never
+	// read it.
+	binder []bool
 }
 
-// add appends a slot and returns its id.
-func (t *slots) add(p geom.Point, power float64, noise, beta, alpha float64) int32 {
+// add appends a slot for station identity ident (-1: a new station,
+// named by the slot itself) and returns its id. Its box is set by
+// derive once the epoch's station set is known.
+func (t *slots) add(p geom.Point, power float64, ident int32) int32 {
+	id := int32(len(t.pts))
+	if ident < 0 {
+		ident = id
+	}
 	t.pts = append(t.pts, p)
 	t.powers = append(t.powers, power)
-	t.boxes = append(t.boxes, coverBox(p, power, noise, beta, alpha))
-	return int32(len(t.pts) - 1)
-}
-
-// coverSlack is the relative margin coverBox adds to the half-side of
-// a cover box; see coverBox for the error budget it covers.
-const coverSlack = 1e-9
-
-// coverBox bounds station's reception zone by the necessary condition
-// E >= beta*N: the zone lies in the square of half-side
-// rho = (psi/(beta*N))^(1/alpha) around the station, whatever the
-// other stations do — which is what makes the box independent of churn
-// elsewhere and lets arrivals and departures touch only their own
-// boxes. A noiseless network has unbounded interference-free range;
-// its non-finite box disables the grid (BuildDyn returns nil) and the
-// snapshot answers without the fast H- exit.
-//
-// The box must hold every point the float predicate of Network.Heard
-// (and HeardBy's scan) accepts, not only the real zone, so the
-// half-side carries a relative margin of coverSlack. With u = 2^-53
-// the unit roundoff, and every quantity in the normal float range:
-//
-//   - Heard means fl(e/fl(I+N)) >= beta with interference I >= 0 (0
-//     with one station). fl(I+N) >= N because rounding is monotone,
-//     and rounded division is monotone in its divisor, so
-//     fl(e/N) >= beta, hence e >= beta*N/(1+u).
-//   - e = fl(psi*w) with w = d2^(-alpha/2) up to a relative error
-//     eps_p (alpha = 2 computes psi/d2 directly: eps_p = 0), and
-//     d2 = fl(fl(dx^2)+fl(dy^2)) >= fl(dx^2) >= dx^2*(1-u) with
-//     dx = fl(p.X-s.X) = (p.X-s.X)(1+d), |d| <= u. Together:
-//     |p.X-s.X| <= rho*((1+eps_p)(1+u)^2)^(1/alpha)/(1-u)^(3/2), and
-//     the same for y.
-//   - The computed half-side r is rho up to the rounding of
-//     beta*N, of psi/(beta*N) and of 1/alpha (exact for alpha = 2),
-//     plus the error of math.Pow itself (math.Pow(x, 0.5) is
-//     math.Sqrt, correctly rounded).
-//   - For alpha != 2 this assumes math.Pow's relative error is at most
-//     1e-12. Go's Pow is exp(yf*log x) times a product by repeated
-//     squaring; its error grows with |y*ln x| <= ~2^11 over the
-//     double range, a few hundred ulps at most, about 3e-13. That is
-//     an assumption about the library, not a proof.
-//
-// Every term above is below 1e-11 of rho, so R = r*(1+coverSlack)
-// bounds |p.X-s.X| with three orders of magnitude to spare. The edge
-// addition needs no margin of its own: p.X <= s.X+R in real terms
-// and p.X is a float, so monotone rounding gives p.X <= fl(s.X+R),
-// and likewise fl(s.X-R) <= p.X. The grid places points and box edges
-// with one monotone cell formula, so a point inside a box lands in a
-// cell that lists it.
-func coverBox(p geom.Point, power, noise, beta, alpha float64) shardindex.Box {
-	if noise <= 0 {
-		inf := math.Inf(1)
-		return shardindex.Box{MinX: -inf, MinY: -inf, MaxX: inf, MaxY: inf}
-	}
-	r := math.Pow(power/(beta*noise), 1/alpha) * (1 + coverSlack)
-	return shardindex.Box{MinX: p.X - r, MinY: p.Y - r, MaxX: p.X + r, MaxY: p.Y + r}
+	t.boxes = append(t.boxes, shardindex.Box{})
+	t.ident = append(t.ident, ident)
+	t.deps = append(t.deps, noDeps)
+	t.binder = append(t.binder, false)
+	return id
 }
 
 // Snapshot is one immutable epoch of a dynamic network: the station
@@ -182,26 +153,18 @@ func coverBox(p geom.Point, power, noise, beta, alpha float64) shardindex.Box {
 // query needs. Queries against a Snapshot are unaffected by later
 // Apply calls — in-flight batches and streams pin the epoch they
 // started on and finish on it. Safe for concurrent use.
+//
+// The grid lists each station's cover box under its slot id. For
+// beta > 1 that box is the noise box cut by the dominance discs of
+// nearby stations (dominanceBox), about a station spacing wide; for
+// beta <= 1 it is the noise box.
 type Snapshot struct {
 	epoch uint64
 	net   *core.Network
 	stats ApplyStats
 
-	// Bounded view of the slot table's locations (immutable); the grid
-	// keeps its own view of the cover boxes.
-	pts []geom.Point
-
 	curToID []int32 // network index -> slot id, canonical order
 	idToCur []int32 // slot id -> network index, -1 = departed
-
-	// Base kd-tree overlay: base indexes the stations of the last
-	// rebuild (in that epoch's order); remap translates its indices to
-	// this epoch's, filtering departed stations; extras lists the slot
-	// ids admitted since, scanned linearly.
-	base    *kdtree.Tree
-	baseIDs []int32
-	remap   func(int) (int, bool)
-	extras  []int32
 
 	grid *shardindex.Index // nil = disabled (unbounded cover boxes)
 
@@ -233,36 +196,56 @@ func (s *Snapshot) ApplyStats() ApplyStats { return s.stats }
 func (s *Snapshot) GridEnabled() bool { return s.grid != nil }
 
 // Locate answers "which station is heard at p?" for this epoch,
-// exactly. The fast path is one grid-cell lookup over the per-station
-// cover boxes — a point outside every box is certified H- without
-// touching a station. For beta > 1 at most one station can be heard
-// (Observation 2.2), so one candidate and one SINR check settle the
-// point: the nearest station from the base-tree overlay for uniform
-// networks, the strongest-signal station (core.Network.Strongest, one
-// O(n) pass) otherwise. The check is the epoch's certified far-field
-// tree (core.FarField) where it has one, and the exact
-// Network.Heard otherwise; both give Heard's answer. Networks with
-// beta <= 1 take the exact scan. Answers are identical to a
-// from-scratch Network.HeardBy — and, for locator-eligible networks,
-// to a from-scratch Theorem 3 locator's LocateExact. The hot path
-// performs no allocations.
+// exactly. For beta > 1 at most one station can be heard
+// (Observation 2.2): the strongest one at p. One grid-cell lookup
+// yields the cover boxes that contain p; the station heard at p, if
+// any, is among them, so the strongest of these hits is the one
+// candidate, and no hit certifies H-. The hits' energies are the very
+// terms Heard's interference sum adds (psi/Dist2 for alpha = 2, Energy
+// otherwise), so a heard station beats every other hit strictly:
+// fl(I+N) >= E_k for each k it sums. If the strongest hit is not
+// heard, no station is. Ties go to the lowest index. The one SINR
+// check is the epoch's certified far-field tree (core.FarField) where
+// it has one, and the exact Network.Heard otherwise; both give Heard's
+// answer. Without a grid (noiseless networks) the candidate is
+// core.Network.Strongest, one O(n) pass. Networks with beta <= 1 take
+// the grid's H- exit over their noise boxes, then the exact scan.
+// Answers are identical to a from-scratch Network.HeardBy — and, for
+// locator-eligible networks, to a from-scratch Theorem 3 locator's
+// LocateExact. The hot path performs no allocations.
 //
 //sinr:hotpath
 func (s *Snapshot) Locate(p geom.Point) core.Location {
-	if s.grid != nil && !s.grid.Covers(p.X, p.Y) {
-		return core.Location{Kind: core.NoReception}
-	}
-	if s.net.Beta() <= 1 {
-		return s.net.NaiveLocate(p)
-	}
-	// Under uniform power the strongest station, the only one that can
-	// be heard, is the nearest.
 	var idx int
 	var ok bool
-	if s.net.IsUniform() {
-		idx, ok = s.nearest(p)
-	} else {
+	switch {
+	case s.net.Beta() <= 1:
+		if s.grid != nil && !s.grid.Covers(p.X, p.Y) {
+			return core.Location{Kind: core.NoReception}
+		}
+		return s.net.NaiveLocate(p)
+	case s.grid == nil:
 		idx, ok = s.net.Strongest(p)
+	default:
+		bestE := math.Inf(-1)
+		idx = -1
+		alpha2 := s.net.Alpha() == 2
+		for _, id := range s.grid.Candidates(p.X, p.Y) {
+			if !s.grid.Contains(id, p.X, p.Y) {
+				continue
+			}
+			cur := int(s.idToCur[id])
+			var e float64
+			if alpha2 {
+				e = s.net.Power(cur) / geom.Dist2(s.net.Station(cur), p)
+			} else {
+				e = s.net.Energy(cur, p)
+			}
+			if e > bestE || (e == bestE && cur < idx) {
+				idx, bestE = cur, e
+			}
+		}
+		ok = idx >= 0
 	}
 	if ok {
 		if s.far != nil {
@@ -286,32 +269,6 @@ func (s *Snapshot) HeardBy(p geom.Point) (int, bool) {
 		return 0, false
 	}
 	return loc.Station, true
-}
-
-// nearest returns the current index of the station closest to p,
-// minimizing (distance, index) over the base-tree overlay (base tree
-// with departed stations filtered out, plus a linear scan of the
-// stations admitted since the last rebuild). The combined order is
-// exactly the order a from-scratch kd-tree over the current stations
-// would use, so tie-breaks agree point-for-point.
-//
-//sinr:hotpath
-func (s *Snapshot) nearest(p geom.Point) (int, bool) {
-	best := -1
-	bestD2 := math.Inf(1)
-	if s.base != nil {
-		if m, d2, ok := s.base.NearestMapped(p, s.remap); ok {
-			best, bestD2 = m, d2
-		}
-	}
-	for _, id := range s.extras {
-		cur := int(s.idToCur[id])
-		d2 := geom.Dist2(s.pts[id], p)
-		if d2 < bestD2 || (d2 == bestD2 && (best < 0 || cur < best)) {
-			best, bestD2 = cur, d2
-		}
-	}
-	return best, best >= 0
 }
 
 // Option customizes a dynamic network engine.
@@ -349,8 +306,8 @@ type Network struct {
 	opsSinceRebuild int    // mutations applied since
 }
 
-// New wraps net in a dynamic engine at epoch 1 (a full build: kd-tree,
-// cover boxes and — for noisy networks — the incremental grid).
+// New wraps net in a dynamic engine at epoch 1 (a full build: cover
+// boxes and — for noisy networks — the incremental grid).
 func New(net *core.Network, opts ...Option) (*Network, error) {
 	d := &Network{rebuildFraction: DefaultRebuildFraction}
 	for _, opt := range opts {
@@ -373,49 +330,56 @@ func (d *Network) Epoch() uint64 { return d.cur.Load().epoch }
 // d.mu (or are the constructor). The slot table starts at capacity n:
 // a static network never admits another slot, and the first admission
 // reallocates, which readers never see through their capped views.
+//
+// The grid is framed by the noise boxes. For beta > 1 each station's
+// box is then cut by the dominance discs of the stations near it,
+// found through a grid of the station points in the same frame, and
+// the grid lists those boxes.
 func (d *Network) rebuild(net *core.Network, epoch uint64, stats ApplyStats) {
 	n := net.NumStations()
+	m := params{noise: net.Noise(), beta: net.Beta(), alpha: net.Alpha()}
 	tab := &slots{
 		pts:    make([]geom.Point, 0, n),
 		powers: make([]float64, 0, n),
 		boxes:  make([]shardindex.Box, 0, n),
+		ident:  make([]int32, 0, n),
+		deps:   make([][4]int32, 0, n),
+		binder: make([]bool, 0, n),
 	}
 	curToID := make([]int32, n)
-	idToCur := make([]int32, n)
+	frame := make([]shardindex.Box, n)
 	for i := 0; i < n; i++ {
-		id := tab.add(net.Station(i), net.Power(i), net.Noise(), net.Beta(), net.Alpha())
+		id := tab.add(net.Station(i), net.Power(i), -1)
 		curToID[i] = id
-		idToCur[id] = int32(i)
+		frame[i] = coverBox(net.Station(i), net.Power(i), m)
+	}
+	var near *shardindex.Index
+	if m.dominance() {
+		// The station points, in the frame the grid will have.
+		points := make([]shardindex.Box, n)
+		for i, p := range tab.pts {
+			points[i] = shardindex.Box{MinX: p.X, MinY: p.Y, MaxX: p.X, MaxY: p.Y}
+		}
+		near = shardindex.BuildFramed(frame, points, curToID)
+	}
+	for id := range curToID {
+		tab.derive(int32(id), frame[id], near, nil, m)
 	}
 	snap := &Snapshot{
 		epoch:   epoch,
 		net:     net,
 		stats:   stats,
-		pts:     tab.pts[:n:n],
 		curToID: curToID,
-		idToCur: idToCur,
-		base:    kdtree.New(tab.pts[:n]),
-		baseIDs: curToID, // identity: base order is canonical order
-		extras:  nil,
-		grid:    shardindex.BuildDyn(tab.boxes[:n:n], curToID),
+		idToCur: curToID, // identity: slot ids are canonical order
+		grid:    shardindex.BuildFramed(frame, tab.boxes[:n:n], curToID),
 	}
 	if n >= farFieldMinStations {
 		snap.far = core.NewFarField(net)
 	}
-	snap.remap = remapFunc(snap)
 	d.tab = tab
 	d.baseN = n
 	d.opsSinceRebuild = 0
 	d.cur.Store(snap)
-}
-
-// remapFunc builds the base-tree translation closure for snap: base
-// index -> slot id -> current index, rejecting departed stations.
-func remapFunc(snap *Snapshot) func(int) (int, bool) {
-	return func(i int) (int, bool) {
-		cur := snap.idToCur[snap.baseIDs[i]]
-		return int(cur), cur >= 0
-	}
 }
 
 // validate checks delta against a station count of n and returns the
@@ -464,11 +428,10 @@ func addPower(st Station) float64 {
 // Apply applies delta to the current epoch and installs the resulting
 // snapshot as epoch+1, returning it. Below the churn threshold the
 // derived structures are patched copy-on-write (re-inserting only the
-// affected cover boxes and overlaying the kd-tree); above it — or when
-// an arrival falls outside the grid's extent — everything is rebuilt
-// from scratch and the accounting resets. The returned snapshot's
-// ApplyStats say which path was taken. On error the network is
-// unchanged.
+// affected cover boxes); above it — or when an arrival's box falls
+// outside the grid's extent — everything is rebuilt from scratch and
+// the accounting resets. The returned snapshot's ApplyStats say which
+// path was taken. On error the network is unchanged.
 func (d *Network) Apply(delta Delta) (*Snapshot, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -558,38 +521,71 @@ func newCore(prev *core.Network, pts []geom.Point, powers []float64) (*core.Netw
 // ok = false (with the already-built network) means the grid could not
 // absorb the delta — an arrival outside its extent — and the caller
 // must take the rebuild path. Callers hold d.mu.
+//
+// An arrival or a power increase only adds interference, so every
+// other zone shrinks and every other box stays valid: only the
+// station's own fresh slot derives a box. A departure or a power drop
+// of station j voids the boxes j bounds (j's identity in their deps);
+// those stations are re-derived into fresh slots, copy-on-write like
+// repowers. Fresh boxes take their dominators from the old grid's
+// cells over their noise box, skipping the stations that weaken.
 func (d *Network) applyIncremental(old *Snapshot, delta Delta, removedMask []bool, stats ApplyStats) (*Snapshot, *core.Network, bool, error) {
 	tab := d.tab
 	n := old.NumStations()
-	noise, beta, alpha := old.net.Noise(), old.net.Beta(), old.net.Alpha()
+	m := params{noise: old.net.Noise(), beta: old.net.Beta(), alpha: old.net.Alpha()}
 
 	// Working copy of the canonical order; repowers swap in fresh slots
 	// at the same position, removals and additions reshape it below.
+	// retired lists the slots leaving the epoch and fresh those entering
+	// it; a slot admitted and retired within this one delta (a station
+	// repowered twice, or repowered and removed) is in both.
 	curID := append(make([]int32, 0, n+len(delta.Add)), old.curToID...)
-	var removedIDs, addedIDs []int32
+	var retired, fresh []int32
 	for _, pu := range delta.SetPower {
 		oldID := curID[pu.Station]
 		if tab.powers[oldID] == pu.Power {
 			continue // no-op update: keep the slot, touch nothing
 		}
-		newID := tab.add(tab.pts[oldID], pu.Power, noise, beta, alpha)
+		newID := tab.add(tab.pts[oldID], pu.Power, tab.ident[oldID])
 		curID[pu.Station] = newID
-		removedIDs = append(removedIDs, oldID)
-		addedIDs = append(addedIDs, newID)
+		retired = append(retired, oldID)
+		fresh = append(fresh, newID)
+	}
+	// weak lists the stations whose dominance discs stop bounding:
+	// departures and power drops.
+	var weak []int32
+	for _, i := range delta.Remove {
+		weak = append(weak, tab.ident[old.curToID[i]])
+	}
+	for _, pu := range delta.SetPower {
+		if oldID := old.curToID[pu.Station]; tab.powers[curID[pu.Station]] < tab.powers[oldID] {
+			weak = append(weak, tab.ident[oldID])
+		}
 	}
 	out := curID[:0]
 	for i := 0; i < n; i++ {
 		if removedMask[i] {
-			removedIDs = append(removedIDs, curID[i])
+			retired = append(retired, curID[i])
 		} else {
 			out = append(out, curID[i])
 		}
 	}
 	curID = out
+	oldNIDs := len(old.idToCur)
+	if slices.ContainsFunc(weak, func(j int32) bool { return tab.binder[j] }) {
+		for k, id := range curID {
+			if int(id) < oldNIDs && boundBy(tab.deps[id], weak) {
+				newID := tab.add(tab.pts[id], tab.powers[id], tab.ident[id])
+				curID[k] = newID
+				retired = append(retired, id)
+				fresh = append(fresh, newID)
+			}
+		}
+	}
 	for _, st := range delta.Add {
-		id := tab.add(st.Pos, addPower(st), noise, beta, alpha)
+		id := tab.add(st.Pos, addPower(st), -1)
 		curID = append(curID, id)
-		addedIDs = append(addedIDs, id)
+		fresh = append(fresh, id)
 	}
 
 	nIDs := len(tab.pts)
@@ -601,18 +597,17 @@ func (d *Network) applyIncremental(old *Snapshot, delta Delta, removedMask []boo
 		idToCur[id] = int32(cur)
 	}
 
-	// Grid deltas in live terms: a slot admitted and retired within
-	// this one delta (a repowered station repowered again, or removed)
-	// was never in the grid — cancel both sides instead of patching.
-	oldNIDs := len(old.idToCur)
-	gridRemoved := removedIDs[:0]
-	for _, id := range removedIDs {
+	// Grid deltas in live terms: a slot both admitted and retired by
+	// this delta was never in the grid — cancel both sides instead of
+	// patching.
+	gridRemoved := retired[:0]
+	for _, id := range retired {
 		if int(id) < oldNIDs {
 			gridRemoved = append(gridRemoved, id)
 		}
 	}
-	gridAdded := make([]int32, 0, len(addedIDs))
-	for _, id := range addedIDs {
+	gridAdded := fresh[:0]
+	for _, id := range fresh {
 		if idToCur[id] >= 0 {
 			gridAdded = append(gridAdded, id)
 		}
@@ -620,6 +615,9 @@ func (d *Network) applyIncremental(old *Snapshot, delta Delta, removedMask []boo
 
 	grid := old.grid
 	if grid != nil {
+		for _, id := range gridAdded {
+			tab.derive(id, coverBox(tab.pts[id], tab.powers[id], m), old.grid, weak, m)
+		}
 		var touched int
 		var ok bool
 		grid, touched, ok = grid.Update(tab.boxes[:nIDs:nIDs], gridRemoved, gridAdded)
@@ -644,27 +642,25 @@ func (d *Network) applyIncremental(old *Snapshot, delta Delta, removedMask []boo
 		return nil, nil, false, err
 	}
 
-	extras := make([]int32, 0, len(old.extras)+len(gridAdded))
-	for _, id := range old.extras {
-		if idToCur[id] >= 0 {
-			extras = append(extras, id)
-		}
-	}
-	extras = append(extras, gridAdded...)
-
 	stats.Stations = len(curID)
 	snap := &Snapshot{
 		epoch:   stats.Epoch,
 		net:     net,
 		stats:   stats,
-		pts:     tab.pts[:nIDs:nIDs],
 		curToID: curID,
 		idToCur: idToCur,
-		base:    old.base,
-		baseIDs: old.baseIDs,
-		extras:  extras,
 		grid:    grid,
 	}
-	snap.remap = remapFunc(snap)
 	return snap, nil, true, nil
+}
+
+// boundBy reports whether a side of a box whose sides deps names is
+// bounded by a station in weak.
+func boundBy(deps [4]int32, weak []int32) bool {
+	for _, j := range deps {
+		if j >= 0 && slices.Contains(weak, j) {
+			return true
+		}
+	}
+	return false
 }

@@ -474,9 +474,9 @@ func TestConcurrentQueriesDuringChurn(t *testing.T) {
 }
 
 // TestLocateAllocationFree pins the query hot path at zero allocations
-// for the grid fast exit, the nearest+check path, and — after a power
-// update makes the epoch non-uniform — the strongest+check path, on an
-// epoch with overlay extras (the post-churn shape).
+// for the grid's no-hit exit and the strongest-hit+check path, on a
+// uniform epoch and — after a power update makes it non-uniform — on
+// an epoch with re-derived boxes (the post-churn shape).
 func TestLocateAllocationFree(t *testing.T) {
 	net := startNet(t, 32, 8)
 	dyn, err := New(net, WithRebuildFraction(math.Inf(1)))

@@ -14,15 +14,18 @@ import (
 // random networks with log-normal powers (spread up to 1.5), across
 // alpha in {2, 3}, beta in {0.5, 1, 1.5, 3} and noise in {0, 0.01},
 // through chains of deltas that re-power, add and remove stations over
-// both apply paths. Three layouts: dense networks of 20 to 51
-// stations, one-station networks, and sparse ones whose far stations
-// add less interference near station 0 than half an ulp of the noise.
-// The probes include every degenerate point of the strongest-station
-// reduction (on a station, on two co-located stations, an exact energy
-// tie, points so far away that the energies are 0) and, on noisy
-// one-station and sparse networks, the points a few ulps either side
-// of each cover-box edge, where only the box's rounding margin keeps
-// the grid's H- exit exact.
+// both apply paths. Four layouts: dense networks of 20 to 51
+// stations, one-station networks, sparse ones whose far stations add
+// less interference near station 0 than half an ulp of the noise, and
+// pairs at unit spacing (plus near arrivals) whose noise, when
+// present, is 1e-30, so each zone reaches the dominance disc that
+// bounds its box. The probes include every degenerate point of the
+// strongest-station reduction (on a station, on two co-located
+// stations, an exact energy tie, points so far away that the energies
+// are 0) and, on noisy one-station and sparse networks, the points a
+// few ulps either side of each cover-box edge, and on pairs of each
+// dominance disc's extreme points, where only the box's rounding
+// margin keeps the grid's H- exit exact.
 func TestQuickLocateMatchesHeardBy(t *testing.T) {
 	rng := rand.New(rand.NewSource(1414))
 	paths := map[ApplyPath]int{}
@@ -30,7 +33,7 @@ func TestQuickLocateMatchesHeardBy(t *testing.T) {
 	for _, alpha := range []float64{2, 3} {
 		for _, beta := range []float64{0.5, 1, 1.5, 3} {
 			for _, noise := range []float64{0, 0.01} {
-				for _, layout := range []string{"dense", "one", "sparse"} {
+				for _, layout := range []string{"dense", "one", "sparse", "pair"} {
 					sigma := 1.5 * rng.Float64()
 					logNormal := func() float64 { return math.Exp(sigma * rng.NormFloat64()) }
 					uniformPt := func() geom.Point { return geom.Pt(rng.Float64()*10-5, rng.Float64()*10-5) }
@@ -50,6 +53,8 @@ func TestQuickLocateMatchesHeardBy(t *testing.T) {
 					var pts []geom.Point
 					var powers []float64
 					fixed := 1
+					netNoise := noise
+					var opts []Option
 					switch layout {
 					case "dense":
 						pts = []geom.Point{shared, shared, geom.Pt(7, 7), geom.Pt(10, 7)}
@@ -67,12 +72,23 @@ func TestQuickLocateMatchesHeardBy(t *testing.T) {
 							pts = append(pts, farPt())
 							powers = append(powers, logNormal())
 						}
+					case "pair":
+						pts = []geom.Point{shared, geom.PolarPoint(shared, 1, 2*math.Pi*rng.Float64())}
+						powers = []float64{logNormal(), logNormal()}
+						if noise > 0 {
+							netNoise = 1e-30
+						}
+						// Two stations churn past the default threshold on
+						// every delta; half the pairs stay incremental.
+						if rng.Intn(2) == 0 {
+							opts = append(opts, WithRebuildFraction(math.Inf(1)))
+						}
 					}
-					net, err := core.NewNetwork(pts, noise, beta, core.WithAlpha(alpha), core.WithPowers(powers))
+					net, err := core.NewNetwork(pts, netNoise, beta, core.WithAlpha(alpha), core.WithPowers(powers))
 					if err != nil {
 						t.Fatal(err)
 					}
-					dyn, err := New(net)
+					dyn, err := New(net, opts...)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -87,8 +103,11 @@ func TestQuickLocateMatchesHeardBy(t *testing.T) {
 						// Box edges of the first four stations, where the
 						// interference is too small to keep the zone off its
 						// box (on a dense network it always is).
-						for i := 0; noise > 0 && layout != "dense" && i < min(4, net.NumStations()); i++ {
+						for i := 0; noise > 0 && (layout == "one" || layout == "sparse") && i < min(4, net.NumStations()); i++ {
 							probes = append(probes, edgeProbes(net.Station(i), zoneRadius(net, i))...)
+						}
+						if layout == "pair" {
+							probes = append(probes, discProbes(net, 4)...)
 						}
 						for k := 0; k < 32; k++ {
 							probes = append(probes, geom.Pt(rng.Float64()*14-7, rng.Float64()*14-7))
@@ -131,6 +150,18 @@ func TestQuickLocateMatchesHeardBy(t *testing.T) {
 								d.Remove = []int{1 + rng.Intn(n-1)}
 							} else {
 								d.Add = []Station{{Pos: farPt(), Power: logNormal()}}
+							}
+						case "pair":
+							// Re-power one station, up or down, and add a
+							// near station or remove one, keeping a pair.
+							d.SetPower = []PowerUpdate{{Station: rng.Intn(n), Power: logNormal()}}
+							switch rng.Intn(3) {
+							case 0:
+								d.Add = []Station{{Pos: geom.PolarPoint(shared, 0.5+rng.Float64(), 2*math.Pi*rng.Float64()), Power: logNormal()}}
+							case 1:
+								if n > 2 {
+									d.Remove = []int{rng.Intn(n)}
+								}
 							}
 						}
 						if snap, err = dyn.Apply(d); err != nil {

@@ -57,10 +57,17 @@ func hotPathNet(gen *workload.Generator, n int) (*core.Network, geom.Box, error)
 	return net, box, err
 }
 
+// timeWindows is the number of timed windows timeLocate takes the
+// median of. One window of about 50 ms moved the per-query cost by tens
+// of percent between runs of the same build; the median of five damps
+// a window that a context switch or a GC cycle lands in.
+const timeWindows = 5
+
 // timeLocate measures fn once per point, repeating the whole point
-// set until the run is long enough to time stably, and returns the
-// per-op cost plus the allocations per op observed during the timed
-// loop (the hot path must show zero).
+// set until a window is long enough to time stably, and returns the
+// median per-op cost over timeWindows such windows plus the
+// allocations per op observed across them (the hot path must show
+// zero).
 func timeLocate(pts []geom.Point, fn func(geom.Point) core.Location) (perOp time.Duration, allocsPerOp float64) {
 	// Warm-up pass (faults in code paths, steadies the branch
 	// predictor) and calibration.
@@ -79,19 +86,22 @@ func timeLocate(pts []geom.Point, fn func(geom.Point) core.Location) (perOp time
 			reps = 1
 		}
 	}
+	windows := make([]time.Duration, timeWindows)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	t0 = time.Now()
-	for r := 0; r < reps; r++ {
-		for _, p := range pts {
-			fn(p)
+	for w := range windows {
+		t0 = time.Now()
+		for r := 0; r < reps; r++ {
+			for _, p := range pts {
+				fn(p)
+			}
 		}
+		windows[w] = time.Since(t0)
 	}
-	elapsed := time.Since(t0)
 	runtime.ReadMemStats(&after)
 	ops := reps * len(pts)
-	return elapsed / time.Duration(ops), float64(after.Mallocs-before.Mallocs) / float64(ops)
+	return medianDuration(windows) / time.Duration(ops), float64(after.Mallocs-before.Mallocs) / float64(ops*timeWindows)
 }
 
 // MeasureHotPath runs the E18 measurement: for each network size a

@@ -114,13 +114,12 @@ func (t *Tree) search(ni int, q geom.Point, best *int, bestD2 *float64) {
 // passed to New) to the caller's current index space and reports
 // whether the point still exists there; rejected points are skipped.
 //
-// This is the query of the dynamic-network overlay: a base tree built
-// over an old epoch's stations answers for the current epoch by
-// remapping surviving stations to their current indices and filtering
-// out departed ones. Ties are broken toward the lowest mapped index,
-// so — as long as remap preserves the base order, which index
-// compaction does — the answer agrees with Nearest on a tree built
-// from scratch over the mapped points.
+// The scheduler's slots query this way: a tree built over every
+// link's sender (or receiver) answers for the links currently in a
+// slot, with a remap that keeps each index and rejects links outside
+// the slot. Ties are broken toward the lowest mapped index, so — as
+// long as remap preserves the base order — the answer agrees with
+// Nearest on a tree built from scratch over the mapped points.
 //
 //sinr:hotpath
 func (t *Tree) NearestMapped(q geom.Point, remap func(int) (int, bool)) (mapped int, d2 float64, ok bool) {

@@ -3,7 +3,8 @@
 // reception-zone cover box) that maps a query point to the O(1)-ish
 // candidate set of stations whose zones could contain it. Both exact
 // engines start with it: the Theorem 3 locator grids its QDS cover
-// boxes (Build), each dynamic epoch its noise-limited ones (BuildDyn).
+// boxes (Build), each dynamic epoch its dominance boxes in the frame of
+// its noise-limited ones (BuildFramed).
 //
 // The index answers two questions, both allocation-free:
 //
@@ -19,8 +20,9 @@
 // The grid pitch is derived from the average box size and the cell
 // count is clamped to O(#boxes), so the index is O(n) memory and O(n)
 // build time regardless of how skewed the box geometry is; BuildDyn
-// only pads the extent so near-future arrivals fit. Each cell owns its
-// candidate slice, so Update copies only the cells a delta touches.
+// and BuildFramed only pad the extent so near-future arrivals fit.
+// Each cell owns its candidate slice, so Update copies only the cells
+// a delta touches.
 // An index is immutable once built and safe for concurrent use; a
 // Locator embeds one per build and a dynamic snapshot one per epoch,
 // so hot-swapping either (internal/serve) swaps the index atomically

@@ -1,6 +1,7 @@
 package shardindex
 
 import (
+	"iter"
 	"math"
 	"slices"
 )
@@ -98,7 +99,7 @@ func Build(boxes []Box) *Index {
 	if len(live) == 0 {
 		return &Index{boxes: own}
 	}
-	return build(own, live, 0)
+	return build(own, own, live, 0)
 }
 
 // BuildDyn indexes boxes[id] for the ids in live, sharing boxes with
@@ -111,31 +112,43 @@ func Build(boxes []Box) *Index {
 // or when a live box cannot be placed; the caller must then answer
 // without the fast H- exit.
 func BuildDyn(boxes []Box, live []int32) *Index {
+	return BuildFramed(boxes, boxes, live)
+}
+
+// BuildFramed is BuildDyn with the grid's frame — its padded extent
+// and its pitch — laid over frame[id] for the ids in live, while the
+// cells list boxes[id]. A caller whose boxes shrink below a stable
+// outer bound (the dynamic engine's dominance boxes inside their noise
+// boxes) keeps the frame the outer bounds give, so arrivals keep
+// fitting it. It returns nil when the live set is empty, when any
+// frame box is empty or non-finite, or when a live box cannot be
+// placed.
+func BuildFramed(frame, boxes []Box, live []int32) *Index {
 	if len(live) == 0 {
 		return nil
 	}
 	for _, id := range live {
-		if boxes[id].empty() {
+		if frame[id].empty() {
 			return nil
 		}
 	}
-	return build(boxes, live, dynPadFraction)
+	return build(frame, boxes, live, dynPadFraction)
 }
 
-// build lays a grid over the union of the live boxes, widened on every
-// side by pad times its larger span, and inserts every live id. The
-// pitch is the mean box dimension, so a typical box lands in O(1)
-// cells; degenerate all-point box sets fall back to an eighth of the
-// extent (or 1 for a single point). It returns nil when the extent
-// overflows or a live box cannot be placed.
-func build(boxes []Box, live []int32, pad float64) *Index {
+// build lays a grid over the union of the live frame boxes, widened on
+// every side by pad times its larger span, and inserts every live id's
+// box. The pitch is the mean frame box dimension, so a typical box
+// lands in O(1) cells; degenerate all-point box sets fall back to an
+// eighth of the extent (or 1 for a single point). It returns nil when
+// the extent overflows or a live box cannot be placed.
+func build(frame, boxes []Box, live []int32, pad float64) *Index {
 	var (
 		minX, minY = math.Inf(1), math.Inf(1)
 		maxX, maxY = math.Inf(-1), math.Inf(-1)
 		sumDim     float64
 	)
 	for _, id := range live {
-		b := boxes[id]
+		b := frame[id]
 		minX = math.Min(minX, b.MinX)
 		minY = math.Min(minY, b.MinY)
 		maxX = math.Max(maxX, b.MaxX)
@@ -276,6 +289,33 @@ func (ix *Index) Candidates(x, y float64) []int32 {
 		return nil
 	}
 	return ix.cells[int(fx)+int(fy)*ix.cols]
+}
+
+// Near yields the ids listed in the cells b overlaps, clipped to the
+// grid: every indexed id whose box meets b, and others, once per cell
+// that lists it (so an id may repeat). It is not on the query path;
+// the dynamic engine finds a station's neighbours with it.
+func (ix *Index) Near(b Box) iter.Seq[int32] {
+	return func(yield func(int32) bool) {
+		fx0, fx1 := (b.MinX-ix.originX)/ix.cell, (b.MaxX-ix.originX)/ix.cell
+		fy0, fy1 := (b.MinY-ix.originY)/ix.cell, (b.MaxY-ix.originY)/ix.cell
+		// The negated test also rejects NaN corners.
+		if !(fx0 <= fx1 && fy0 <= fy1 && fx1 >= 0 && fy1 >= 0 && fx0 < float64(ix.cols) && fy0 < float64(ix.rows)) {
+			return
+		}
+		// Clamp as floats before converting, so an infinite corner
+		// cannot overflow int.
+		cx1, cy1 := int(math.Min(fx1, float64(ix.cols-1))), int(math.Min(fy1, float64(ix.rows-1)))
+		for cy := int(math.Max(fy0, 0)); cy <= cy1; cy++ {
+			for cx := int(math.Max(fx0, 0)); cx <= cx1; cx++ {
+				for _, id := range ix.cells[cx+cy*ix.cols] {
+					if !yield(id) {
+						return
+					}
+				}
+			}
+		}
+	}
 }
 
 // Contains reports whether box id contains (x, y). It is the exact

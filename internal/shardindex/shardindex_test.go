@@ -354,3 +354,77 @@ func TestDynIndexCoversAllocationFree(t *testing.T) {
 		t.Fatalf("Covers allocates: %g allocs per 256-query run", allocs)
 	}
 }
+
+// TestBuildFramedKeepsTheFrame: a grid framed by large boxes but
+// listing small ones inside them has the large boxes' geometry, answers
+// Covers for the small ones, and takes an Update whose small box lies
+// where only a large one reaches.
+func TestBuildFramedKeepsTheFrame(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	frame := make([]Box, 30)
+	boxes := make([]Box, 30, 31)
+	live := make([]int32, 0, len(frame))
+	for i := range frame {
+		x, y := rng.Float64()*10-5, rng.Float64()*10-5
+		frame[i] = dynBoxAround(x, y, 2)
+		boxes[i] = dynBoxAround(x, y, 0.1+0.3*rng.Float64())
+		live = append(live, int32(i))
+	}
+	d := BuildFramed(frame, boxes, live)
+	if d == nil {
+		t.Fatal("BuildFramed returned nil for finite boxes")
+	}
+	if got, want := d.Stats(), BuildDyn(frame, live).Stats(); got.Cols != want.Cols || got.Rows != want.Rows || got.CellSize != want.CellSize {
+		t.Fatalf("framed grid %+v, want the frame's geometry %+v", got, want)
+	}
+	for i := 0; i < 3000; i++ {
+		x, y := rng.Float64()*16-8, rng.Float64()*16-8
+		if got, want := d.Covers(x, y), bruteCovers(boxes, live, x, y); got != want {
+			t.Fatalf("Covers(%g, %g) = %v, want %v", x, y, got, want)
+		}
+	}
+	boxes = append(boxes, dynBoxAround(6.5, 6.5, 0.1))
+	if _, _, ok := d.Update(boxes, nil, []int32{30}); !ok {
+		t.Fatal("an arrival inside the padded frame demanded a rebuild")
+	}
+}
+
+// TestNearYieldsEveryOverlappingID: Near lists every indexed id whose
+// box meets the query box (once or more), for queries inside, across
+// and beyond the grid's edge, and nothing for empty or NaN queries.
+func TestNearYieldsEveryOverlappingID(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	boxes := make([]Box, 50)
+	live := make([]int32, 0, len(boxes))
+	for i := range boxes {
+		boxes[i] = dynBoxAround(rng.Float64()*10-5, rng.Float64()*10-5, 0.2+rng.Float64())
+		live = append(live, int32(i))
+	}
+	d := BuildDyn(boxes, live)
+	if d == nil {
+		t.Fatal("BuildDyn returned nil")
+	}
+	meets := func(a, b Box) bool {
+		return a.MinX <= b.MaxX && b.MinX <= a.MaxX && a.MinY <= b.MaxY && b.MinY <= a.MaxY
+	}
+	for k := 0; k < 500; k++ {
+		q := dynBoxAround(rng.Float64()*30-15, rng.Float64()*30-15, rng.Float64()*4)
+		if k == 0 {
+			q = Box{MinX: math.Inf(-1), MinY: math.Inf(-1), MaxX: math.Inf(1), MaxY: math.Inf(1)}
+		}
+		seen := map[int32]bool{}
+		for id := range d.Near(q) {
+			seen[id] = true
+		}
+		for _, id := range live {
+			if meets(boxes[id], q) && !seen[id] {
+				t.Fatalf("Near(%+v) misses id %d with box %+v", q, id, boxes[id])
+			}
+		}
+	}
+	for _, q := range []Box{{MinX: 1, MinY: 1, MaxX: 0, MaxY: 2}, {MinX: math.NaN(), MinY: 0, MaxX: 1, MaxY: 1}} {
+		for id := range d.Near(q) {
+			t.Fatalf("Near(%+v) yielded id %d", q, id)
+		}
+	}
+}
