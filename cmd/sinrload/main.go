@@ -2,11 +2,11 @@
 // running sinrserve instance and reports throughput and latency
 // percentiles. It generates a network locally, registers it with the
 // server, fires /v1/locate batches from concurrent clients, and can
-// verify every served answer byte-identically against a locally built
-// reference (the scan oracle, or a local UDG resolver for udg), hot-swap the network mid-run to prove
-// replacement drops no traffic, and churn the station set mid-run
-// through the PATCH delta API to prove incremental mutation drops no
-// traffic either.
+// verify every served answer against a locally built reference (the
+// scan oracle, or a local UDG resolver for udg), hot-swap the network
+// mid-run to prove replacement drops no traffic, and churn the station
+// set mid-run through the PATCH delta API to prove incremental
+// mutation drops no traffic either.
 //
 // Usage:
 //
@@ -40,14 +40,12 @@
 //
 // -sched additionally exercises the schedule endpoint: one POST
 // /v1/networks/{name}/schedule with the named scheduler right after
-// registration and one after the run. Each answer is validated
-// locally — the client re-derives the generation's link set with
-// sched.DeriveLinks from its mirrored station set and re-checks every
-// slot through its own feasibility engine — and when the run PATCHed
-// churn deltas the post-run answer must have been repaired from the
-// pre-churn schedule (path "repaired"), proving the cache invalidated
-// and healed instead of recomputing. Any invalid slot or wrong path
-// is a non-zero exit.
+// registration and one after the run. Each answer's slots are
+// re-checked on a local rebuild of the generation's instance, and
+// when the run PATCHed churn deltas the post-run answer must have been
+// repaired from the pre-churn schedule (path "repaired"), proving the
+// cache invalidated and healed instead of recomputing. Any invalid
+// slot or wrong path is a non-zero exit.
 //
 // -spec-dir drives a declaratively-operated server (sinrserve
 // -spec-dir) instead of POSTing: the generated network lands as a
@@ -58,12 +56,12 @@
 // and -churn-every, which mutate the registry imperatively and would
 // race the controller's convergence.
 //
-// -verify recomputes all answers locally through the scan oracle (the
-// exact backend) for every SINR kind, whose served answers are exact
-// by construction, and through a local UDG resolver for "udg", and
-// exits non-zero on any mismatch, so the command doubles as an end-to-end correctness check
-// in CI (the serve-smoke matrix runs it once per backend, plus a
-// churn leg).
+// -verify recomputes all answers locally through the scan oracle for
+// every SINR kind and through a local UDG resolver for "udg", and
+// exits non-zero on any mismatch, so the command doubles as an
+// end-to-end correctness check in CI (the serve-smoke matrix runs it
+// once per backend, plus churn legs). The generation mirror, the
+// delta conversion and both checks are internal/verify's.
 //
 // Any non-2xx locate response is a hard failure: the run reports how
 // many batches failed by class (429 shed, 5xx, other) and exits
@@ -92,7 +90,6 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -108,13 +105,13 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dynamic"
 	"repro/internal/geom"
 	"repro/internal/metrics"
 	"repro/internal/resolve"
 	"repro/internal/sched"
 	"repro/internal/serve"
 	"repro/internal/trace"
+	"repro/internal/verify"
 	"repro/internal/workload"
 )
 
@@ -196,30 +193,6 @@ func churnWeights(kind string) (float64, float64, float64, error) {
 	}
 }
 
-// deltaFor converts one churn event to the wire delta document.
-func deltaFor(ev workload.ChurnEvent) serve.NetworkDeltaRequest {
-	switch ev.Kind {
-	case workload.ChurnArrive:
-		return serve.NetworkDeltaRequest{Add: []serve.DeltaStationJSON{{X: ev.Pos.X, Y: ev.Pos.Y, Power: ev.Power}}}
-	case workload.ChurnDepart:
-		return serve.NetworkDeltaRequest{Remove: []int{ev.Station}}
-	default:
-		return serve.NetworkDeltaRequest{SetPower: []serve.PowerUpdateJSON{{Station: ev.Station, Power: ev.Power}}}
-	}
-}
-
-// localDelta converts the same event for the local mirror engine.
-func localDelta(ev workload.ChurnEvent) dynamic.Delta {
-	switch ev.Kind {
-	case workload.ChurnArrive:
-		return dynamic.Delta{Add: []dynamic.Station{{Pos: ev.Pos, Power: ev.Power}}}
-	case workload.ChurnDepart:
-		return dynamic.Delta{Remove: []int{ev.Station}}
-	default:
-		return dynamic.Delta{SetPower: []dynamic.PowerUpdate{{Station: ev.Station, Power: ev.Power}}}
-	}
-}
-
 func run(cfg config) error {
 	if cfg.n < 1 || cfg.queries < 1 || cfg.batch < 1 || cfg.concurrency < 1 {
 		return fmt.Errorf("-n, -queries, -batch and -concurrency must all be >= 1 (got %d, %d, %d, %d)",
@@ -270,13 +243,6 @@ func run(cfg config) error {
 		return fmt.Errorf("unknown workload %q", cfg.workload)
 	}
 
-	// Local mirror of the server's generations: version -> the epoch
-	// snapshot holding that generation's exact station set. Version 1
-	// is the registration; each PATCH (or swap) adds one.
-	mirror, err := dynamic.New(net)
-	if err != nil {
-		return err
-	}
 	numBatches := (len(points) + cfg.batch - 1) / cfg.batch
 	var churnTrace []workload.ChurnEvent
 	if cfg.churnEvery > 0 {
@@ -294,7 +260,13 @@ func run(cfg config) error {
 	if err != nil {
 		return fmt.Errorf("registering network: %w", err)
 	}
-	epochs := map[uint64]*dynamic.Snapshot{regResp.Version: mirror.Snapshot()}
+	// Local mirror of the server's generations: version -> the epoch
+	// snapshot holding that generation's exact station set. The
+	// registration is the first; each PATCH (or swap) adds one.
+	mirror, err := verify.NewMirror(net, regResp.Version)
+	if err != nil {
+		return err
+	}
 	fmt.Printf("registered %q: %d stations, workload=%s, resolver=%s, %d queries in batches of %d over %d clients\n",
 		cfg.name, cfg.n, cfg.workload, kind, len(points), cfg.batch, cfg.concurrency)
 
@@ -302,16 +274,11 @@ func run(cfg config) error {
 	// re-validated against a locally rebuilt feasibility engine. The
 	// post-run request (below) must then repair — not recompute — it
 	// if the run churned the station set.
+	schedReq := serve.ScheduleRequest{Scheduler: cfg.sched}
 	if cfg.sched != "" {
-		out, err := schedule(client, cfg.addr, cfg.name, serve.ScheduleRequest{Scheduler: cfg.sched})
-		if err != nil {
+		if err := checkedSchedule(client, cfg.addr, cfg.name, mirror, schedReq, false); err != nil {
 			return fmt.Errorf("initial schedule: %w", err)
 		}
-		if err := verifySchedule(out, epochs); err != nil {
-			return fmt.Errorf("initial schedule: %w", err)
-		}
-		fmt.Printf("schedule[%s]: %d links in %d slots at version %d (path=%s), valid against the local engine\n",
-			out.Scheduler, out.NumLinks, out.NumSlots, out.Version, out.Path)
 	}
 
 	// Server-side view: snapshot /metrics before traffic so the report
@@ -329,8 +296,7 @@ func run(cfg config) error {
 		peak.start(client, cfg.addr, cfg.metricsEvery)
 	}
 
-	served := make([]int, len(points))      // station index or -1 per query
-	servedVer := make([]uint64, numBatches) // generation that answered each batch
+	answered := make([]verify.Batch, numBatches) // each batch's answers and the generation that gave them
 	latencies := make([]time.Duration, numBatches)
 
 	// Client-side trace identity: one traceparent per batch, so the
@@ -347,12 +313,11 @@ func run(cfg config) error {
 	var fail429, fail5xx, failOther atomic.Int64
 	var swaps, churns atomic.Int64
 
-	// mutMu serializes mutations (swaps and churn deltas) and the
-	// epochs map, so the local mirror applies deltas in exactly the
-	// order the server does and version numbers line up.
+	// mutMu serializes mutations (swaps and churn deltas) with the
+	// mirror, so the mirror applies deltas in exactly the order the
+	// server does and version numbers line up.
 	var mutMu sync.Mutex
 	churnIdx := 0
-	lastVer := regResp.Version // server versions are offset when the name pre-existed
 	doChurn := func(b int) {
 		mutMu.Lock()
 		defer mutMu.Unlock()
@@ -361,34 +326,17 @@ func run(cfg config) error {
 		}
 		ev := churnTrace[churnIdx]
 		churnIdx++
-		resp, err := patch(client, cfg.addr, cfg.name, deltaFor(ev))
+		d := verify.Delta(ev)
+		resp, err := patch(client, cfg.addr, cfg.name, serve.WireDelta(d))
+		if err == nil {
+			err = mirror.Apply(d, resp.Version, resp.Epoch)
+		}
 		if err != nil {
 			failed.Add(1)
 			failOther.Add(1)
 			fmt.Fprintf(os.Stderr, "sinrload: churn after batch %d: %v\n", b, err)
 			return
 		}
-		snap, err := mirror.Apply(localDelta(ev))
-		if err != nil {
-			failed.Add(1)
-			failOther.Add(1)
-			fmt.Fprintf(os.Stderr, "sinrload: mirroring churn delta: %v\n", err)
-			return
-		}
-		// The mirror tracks generations, not absolute versions: the
-		// server's version counter survives re-registrations of the
-		// same name, so assert per-delta monotonicity and that the
-		// server's engine epoch moved in lockstep with the mirror's —
-		// not that version and epoch coincide.
-		if resp.Version != lastVer+1 || resp.Epoch != snap.Epoch() {
-			failed.Add(1)
-			failOther.Add(1)
-			fmt.Fprintf(os.Stderr, "sinrload: server at version %d epoch %d after delta, expected version %d, local mirror epoch %d\n",
-				resp.Version, resp.Epoch, lastVer+1, snap.Epoch())
-			return
-		}
-		lastVer = resp.Version
-		epochs[resp.Version] = snap
 		churns.Add(1)
 	}
 
@@ -439,10 +387,11 @@ func run(cfg config) error {
 					}
 					continue
 				}
-				servedVer[b] = version
+				stations := make([]int, len(results))
 				for i, r := range results {
-					served[lo+i] = r.Station
+					stations[i] = r.Station
 				}
+				answered[b] = verify.Batch{Version: version, Points: points[lo:hi], Served: stations}
 				// Hot-swap under load: re-register the same stations,
 				// bumping the version and forcing a resolver rebuild while
 				// other clients keep querying.
@@ -456,8 +405,7 @@ func run(cfg config) error {
 					} else {
 						// Stations unchanged: the new generation serves the
 						// same epoch-1 station set.
-						lastVer = resp.Version
-						epochs[resp.Version] = mirror.Snapshot()
+						mirror.Swap(resp.Version)
 						swaps.Add(1)
 					}
 					mutMu.Unlock()
@@ -510,193 +458,95 @@ func run(cfg config) error {
 	}
 
 	if cfg.verify {
-		mismatches, err := verifyServed(cfg, kind, epochs, points, served, servedVer, numBatches)
+		// Failed batches never recorded a generation (version 0) and
+		// have no answers; the check skips them rather than fabricate
+		// mismatches from zeroed slots.
+		mismatches, err := mirror.CheckAnswers(kind, cfg.radius, answered)
 		if err != nil {
 			return err
 		}
-		if mismatches > 0 {
-			return fmt.Errorf("%d of %d served %s answers differ from %s", mismatches, len(points), kind, referenceName(kind))
+		_, ref := verify.Reference(kind)
+		for _, m := range mismatches[:min(5, len(mismatches))] {
+			fmt.Fprintf(os.Stderr, "sinrload: version %d mismatch at %v: served %d, %s %d\n",
+				m.Version, m.Point, m.Served, ref, m.Want)
+		}
+		if len(mismatches) > 0 {
+			return fmt.Errorf("%d of %d served %s answers differ from %s", len(mismatches), len(points), kind, ref)
 		}
 		fmt.Printf("verified: all %d served %s answers identical to %s across %d generation(s)\n",
-			len(points), kind, referenceName(kind), len(epochs))
+			len(points), kind, ref, mirror.Len())
 	}
 
 	if cfg.sched != "" {
-		out, err := schedule(client, cfg.addr, cfg.name, serve.ScheduleRequest{Scheduler: cfg.sched})
-		if err != nil {
+		if err := checkedSchedule(client, cfg.addr, cfg.name, mirror, schedReq, churns.Load() > 0); err != nil {
 			return fmt.Errorf("post-run schedule: %w", err)
 		}
-		if err := verifySchedule(out, epochs); err != nil {
-			return fmt.Errorf("post-run schedule: %w", err)
-		}
-		if churns.Load() > 0 {
-			if out.Path != "repaired" {
-				return fmt.Errorf("post-churn schedule path = %q at version %d, want repaired", out.Path, out.Version)
-			}
-			if out.Repair == nil {
-				return fmt.Errorf("post-churn schedule carries no repair stats")
-			}
-		}
-		fmt.Printf("schedule[%s]: %d links in %d slots at version %d (path=%s), valid against the local engine\n",
-			out.Scheduler, out.NumLinks, out.NumSlots, out.Version, out.Path)
 	}
 	return nil
 }
 
-// schedule POSTs one scheduling request for the named network.
-func schedule(client *http.Client, addr, name string, req serve.ScheduleRequest) (serve.ScheduleResponse, error) {
-	var out serve.ScheduleResponse
-	body, err := json.Marshal(req)
+// sendJSON sends body as a JSON request and decodes a 200 answer into
+// out; any other status is a *statusError whose message starts with
+// what. A non-empty traceparent is propagated, and the server's echo
+// must carry the same trace ID: a broken round trip is a hard error,
+// while a missing echo is tolerated (an older server that does not
+// trace).
+func sendJSON(client *http.Client, method, url, what, traceparent string, body, out any) error {
+	b, err := json.Marshal(body)
 	if err != nil {
-		return out, err
+		return err
 	}
-	resp, err := client.Post(addr+"/v1/networks/"+name+"/schedule", "application/json", bytes.NewReader(body))
+	req, err := http.NewRequest(method, url, bytes.NewReader(b))
 	if err != nil {
-		return out, err
+		return err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	if traceparent != "" {
+		req.Header.Set("Traceparent", traceparent)
+	}
+	resp, err := client.Do(req)
+	if err != nil {
+		return err
 	}
 	defer resp.Body.Close()
+	if echo := resp.Header.Get("Traceparent"); traceparent != "" && echo != "" {
+		sentID, _, okSent := trace.ParseTraceparent(traceparent)
+		gotID, _, okGot := trace.ParseTraceparent(echo)
+		if !okSent || !okGot || gotID != sentID {
+			return fmt.Errorf("%s: traceparent did not round-trip: sent %q, got %q", what, traceparent, echo)
+		}
+	}
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return out, &statusError{code: resp.StatusCode,
-			msg: fmt.Sprintf("schedule: %s: %s", resp.Status, bytes.TrimSpace(msg))}
+		return &statusError{code: resp.StatusCode,
+			msg: fmt.Sprintf("%s: %s: %s", what, resp.Status, bytes.TrimSpace(msg))}
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return out, err
-	}
-	return out, nil
+	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-// verifySchedule re-derives the answering generation's link set from
-// the local mirror and re-checks every served slot through a locally
-// built feasibility engine: the served schedule must validate without
-// the links themselves ever crossing the wire.
-func verifySchedule(out serve.ScheduleResponse, epochs map[uint64]*dynamic.Snapshot) error {
-	snap, ok := epochs[out.Version]
-	if !ok {
-		return fmt.Errorf("schedule answered from version %d, which no local mutation produced", out.Version)
+// checkedSchedule requests a schedule and checks it against the
+// mirror, rebuilding the instance from the request sent plus the
+// model, order and link scale the answer echoes. wantRepair requires
+// the answer to come from the repair path.
+func checkedSchedule(client *http.Client, addr, name string, mirror *verify.Mirror, req serve.ScheduleRequest, wantRepair bool) error {
+	var out serve.ScheduleResponse
+	if err := sendJSON(client, http.MethodPost, addr+"/v1/networks/"+name+"/schedule", "schedule", "", req, &out); err != nil {
+		return err
 	}
-	net := snap.Network()
-	powers := make([]float64, net.NumStations())
-	for i := range powers {
-		powers[i] = net.Power(i)
+	p := sched.Params{Model: sched.Model(out.Model), Order: sched.Order(out.Order), LinkLen: out.LinkLen,
+		Beta: req.Beta, Noise: req.Noise, Conn: req.ConnRadius, Interf: req.InterfRadius}
+	if err := mirror.CheckSchedule(out.Version, p, out.NumLinks, out.Slots); err != nil {
+		return err
 	}
-	links := sched.DeriveLinks(net.Stations(), powers, out.LinkLen)
-	var f sched.Feasibility
-	switch out.Model {
-	case "sinr":
-		p, err := sched.NewSINRProblem(links, net.Noise(), net.Beta())
-		if err != nil {
-			return err
-		}
-		p.Alpha = net.Alpha()
-		f = p
-	case "protocol":
-		p, err := sched.NewProtocolProblem(links, 1.5*out.LinkLen, 3*out.LinkLen)
-		if err != nil {
-			return err
-		}
-		f = p
-	default:
-		return fmt.Errorf("served schedule names unknown model %q", out.Model)
+	if wantRepair && out.Path != "repaired" {
+		return fmt.Errorf("post-churn schedule path = %q at version %d, want repaired", out.Path, out.Version)
 	}
-	if out.NumLinks != len(links) {
-		return fmt.Errorf("schedule covers %d links, generation %d has %d", out.NumLinks, out.Version, len(links))
+	if wantRepair && out.Repair == nil {
+		return errors.New("post-churn schedule carries no repair stats")
 	}
-	s := &sched.Schedule{Slots: out.Slots}
-	if err := s.Validate(f); err != nil {
-		return fmt.Errorf("served schedule invalid against the local %s engine: %v", out.Model, err)
-	}
+	fmt.Printf("schedule[%s]: %d links in %d slots at version %d (path=%s), valid against the local engine\n",
+		out.Scheduler, out.NumLinks, out.NumSlots, out.Version, out.Path)
 	return nil
-}
-
-// verifyServed rebuilds, per server generation, an independent local
-// reference and compares every served answer against it: the scan
-// oracle (resolve.KindExact) for every SINR kind, whose served answers
-// are exact by construction, and a local UDG resolver for udg, a
-// different reception model (referenceKind). Checking the SINR kinds
-// against the scan rather than a local resolver of the same kind keeps
-// the check independent of the engine that answered. Batches are
-// grouped by the generation that answered them, so answers racing a
-// swap or churn delta are checked against the right station set. It
-// returns the mismatch count; the caller turns a nonzero count into a
-// non-zero exit.
-func verifyServed(cfg config, kind resolve.Kind, epochs map[uint64]*dynamic.Snapshot,
-	points []geom.Point, served []int, servedVer []uint64, numBatches int) (int, error) {
-	byVer := make(map[uint64][]int)
-	for b := 0; b < numBatches; b++ {
-		// A failed batch never recorded its answering generation (the
-		// sentinel 0 predates every real version). It was already
-		// counted as a hard error; there are no answers to verify, and
-		// checking its zeroed slots would fabricate mismatches.
-		if servedVer[b] == 0 {
-			continue
-		}
-		byVer[servedVer[b]] = append(byVer[servedVer[b]], b)
-	}
-	versions := make([]uint64, 0, len(byVer))
-	for v := range byVer {
-		versions = append(versions, v)
-	}
-	sort.Slice(versions, func(i, j int) bool { return versions[i] < versions[j] })
-
-	mismatches := 0
-	for _, ver := range versions {
-		snap, ok := epochs[ver]
-		if !ok {
-			return 0, fmt.Errorf("server answered from version %d, which no local mutation produced", ver)
-		}
-		vkind := referenceKind(kind)
-		var vopts []resolve.Option
-		if cfg.radius > 0 {
-			vopts = append(vopts, resolve.WithRadius(cfg.radius))
-		}
-		local, err := resolve.New(vkind, snap.Network(), vopts...)
-		if err != nil {
-			return 0, fmt.Errorf("rebuilding the %s backend for version %d: %w", vkind, ver, err)
-		}
-		var pts []geom.Point
-		var got []int
-		for _, b := range byVer[ver] {
-			lo := b * cfg.batch
-			hi := lo + cfg.batch
-			if hi > len(points) {
-				hi = len(points)
-			}
-			pts = append(pts, points[lo:hi]...)
-			got = append(got, served[lo:hi]...)
-		}
-		answers := make([]core.Location, len(pts))
-		if err := local.ResolveBatch(context.Background(), pts, answers); err != nil {
-			return 0, err
-		}
-		for i, a := range answers {
-			if want := resolve.StationIndex(a); got[i] != want {
-				if mismatches < 5 {
-					fmt.Fprintf(os.Stderr, "sinrload: version %d mismatch at %v: served %d, %s %d\n",
-						ver, pts[i], got[i], referenceName(kind), want)
-				}
-				mismatches++
-			}
-		}
-	}
-	return mismatches, nil
-}
-
-// referenceKind is the local backend verifyServed checks the served
-// answers of kind against.
-func referenceKind(kind resolve.Kind) resolve.Kind {
-	if kind == resolve.KindUDG {
-		return resolve.KindUDG
-	}
-	return resolve.KindExact
-}
-
-// referenceName names referenceKind(kind) in the run's report.
-func referenceName(kind resolve.Kind) string {
-	if referenceKind(kind) == resolve.KindUDG {
-		return "the local UDG resolver"
-	}
-	return "the local scan oracle"
 }
 
 func registration(name string, stations []geom.Point, noise, beta float64) serve.NetworkSpec {
@@ -708,26 +558,9 @@ func registration(name string, stations []geom.Point, noise, beta float64) serve
 	return req
 }
 
-func register(client *http.Client, addr string, req serve.NetworkSpec) (serve.NetworkResponse, error) {
-	var out serve.NetworkResponse
-	body, err := json.Marshal(req)
-	if err != nil {
-		return out, err
-	}
-	resp, err := client.Post(addr+"/v1/networks", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return out, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return out, &statusError{code: resp.StatusCode,
-			msg: fmt.Sprintf("register: %s: %s", resp.Status, bytes.TrimSpace(msg))}
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return out, err
-	}
-	return out, nil
+func register(client *http.Client, addr string, req serve.NetworkSpec) (out serve.NetworkResponse, err error) {
+	err = sendJSON(client, http.MethodPost, addr+"/v1/networks", "register", "", req, &out)
+	return out, err
 }
 
 // registerViaSpec lands the registration declaratively: the canonical
@@ -792,77 +625,21 @@ func getSpec(client *http.Client, addr, name string) (body []byte, version uint6
 }
 
 // patch applies one delta document via PATCH /v1/networks/{name}.
-func patch(client *http.Client, addr, name string, delta serve.NetworkDeltaRequest) (serve.NetworkResponse, error) {
-	var out serve.NetworkResponse
-	body, err := json.Marshal(delta)
-	if err != nil {
-		return out, err
-	}
-	req, err := http.NewRequest(http.MethodPatch, addr+"/v1/networks/"+name, bytes.NewReader(body))
-	if err != nil {
-		return out, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := client.Do(req)
-	if err != nil {
-		return out, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return out, &statusError{code: resp.StatusCode,
-			msg: fmt.Sprintf("patch: %s: %s", resp.Status, bytes.TrimSpace(msg))}
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return out, err
-	}
-	return out, nil
+func patch(client *http.Client, addr, name string, delta serve.NetworkDeltaRequest) (out serve.NetworkResponse, err error) {
+	err = sendJSON(client, http.MethodPatch, addr+"/v1/networks/"+name, "patch", "", delta, &out)
+	return out, err
 }
 
-// locate posts one batch. When traceparent is non-empty it is
-// propagated on the request, and the server's echoed traceparent must
-// carry the same trace ID — a broken round trip is a hard error, while
-// a missing echo is tolerated (an older server that does not trace).
+// locate posts one batch, propagating traceparent when it is
+// non-empty.
 func locate(client *http.Client, addr, name, resolver string, eps, radius float64, pts []geom.Point, traceparent string) ([]serve.LocateResult, uint64, error) {
 	req := serve.LocateRequest{Network: name, Resolver: resolver, Eps: eps, Radius: radius}
 	req.Points = make([]serve.PointJSON, len(pts))
 	for i, p := range pts {
 		req.Points[i] = serve.PointJSON{X: p.X, Y: p.Y}
 	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, 0, err
-	}
-	hreq, err := http.NewRequest(http.MethodPost, addr+"/v1/locate", bytes.NewReader(body))
-	if err != nil {
-		return nil, 0, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	if traceparent != "" {
-		hreq.Header.Set("Traceparent", traceparent)
-	}
-	resp, err := client.Do(hreq)
-	if err != nil {
-		return nil, 0, err
-	}
-	if traceparent != "" {
-		if echo := resp.Header.Get("Traceparent"); echo != "" {
-			sentID, _, okSent := trace.ParseTraceparent(traceparent)
-			gotID, _, okGot := trace.ParseTraceparent(echo)
-			if !okSent || !okGot || gotID != sentID {
-				resp.Body.Close()
-				return nil, 0, fmt.Errorf("locate: traceparent did not round-trip: sent %q, got %q", traceparent, echo)
-			}
-		}
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, 0, &statusError{code: resp.StatusCode,
-			msg: fmt.Sprintf("locate: %s: %s", resp.Status, bytes.TrimSpace(msg))}
-	}
 	var out serve.LocateResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := sendJSON(client, http.MethodPost, addr+"/v1/locate", "locate", traceparent, req, &out); err != nil {
 		return nil, 0, err
 	}
 	if len(out.Results) != len(pts) {

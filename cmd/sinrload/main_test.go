@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -233,5 +234,79 @@ func TestScrapeMetricsUnavailable(t *testing.T) {
 	cfg.scrapeMetrics = true
 	if err := run(cfg); err != nil {
 		t.Fatalf("run failed without a metrics endpoint: %v", err)
+	}
+}
+
+// scheduleTamperingServer wraps a real serve.Server but rewrites every
+// schedule answer with tamper, simulating a scheduling bug that only
+// the client's schedule check can catch.
+func scheduleTamperingServer(srv *serve.Server, tamper func(*serve.ScheduleResponse)) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost || !strings.HasSuffix(r.URL.Path, "/schedule") {
+			srv.ServeHTTP(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, r)
+		var resp serve.ScheduleResponse
+		if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &resp) != nil {
+			w.WriteHeader(http.StatusInternalServerError)
+			return
+		}
+		tamper(&resp)
+		body, _ := json.Marshal(resp)
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(body)
+	})
+}
+
+// TestTamperedScheduleFailsRun: a served schedule with a link moved
+// into a slot it does not fit, or with a link dropped, must fail the
+// run with an error naming the slot or the link.
+func TestTamperedScheduleFailsRun(t *testing.T) {
+	cases := []struct {
+		name string
+		// tamper corrupts a served schedule of at least two slots and
+		// returns what the run's error must say.
+		tamper func(*serve.ScheduleResponse) string
+	}{
+		{"moved", func(s *serve.ScheduleResponse) string {
+			// Greedy first-fit put the last slot's first link there
+			// because no earlier slot could take it, so slot 0 cannot.
+			last := len(s.Slots) - 1
+			s.Slots[0] = append(s.Slots[0], s.Slots[last][0])
+			s.Slots[last] = s.Slots[last][1:]
+			return "slot 0 infeasible"
+		}},
+		{"dropped", func(s *serve.ScheduleResponse) string {
+			li := s.Slots[1][0]
+			s.Slots[1] = s.Slots[1][1:]
+			return fmt.Sprintf("link %d missing", li)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var want atomic.Value
+			ts := httptest.NewServer(scheduleTamperingServer(serve.NewServer(serve.Options{Workers: 2}),
+				func(s *serve.ScheduleResponse) {
+					if len(s.Slots) < 2 {
+						t.Errorf("the served schedule has %d slots; the test needs two", len(s.Slots))
+						return
+					}
+					want.Store(tc.tamper(s))
+				}))
+			defer ts.Close()
+
+			cfg := testCfg(ts.URL, "tampered-"+tc.name)
+			cfg.n = 32
+			cfg.sched = "greedy"
+			err := run(cfg)
+			if err == nil {
+				t.Fatal("run succeeded against a server returning a tampered schedule")
+			}
+			if w, _ := want.Load().(string); w == "" || !strings.Contains(err.Error(), w) {
+				t.Fatalf("error %q does not say %q", err, w)
+			}
+		})
 	}
 }

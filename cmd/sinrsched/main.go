@@ -58,51 +58,30 @@ func run(w io.Writer, nLinks int, side, beta float64, seed int64, kindName, orde
 		}
 	}
 
-	sp, err := sched.NewSINRProblem(links, 0.0001, beta)
-	if err != nil {
-		return err
-	}
-	pp, err := sched.NewProtocolProblem(links, 1.5, 3)
-	if err != nil {
-		return err
-	}
-
-	var order []int
-	switch orderName {
-	case "short":
-		order = sched.ByLength(links, true)
-	case "long":
-		order = sched.ByLength(links, false)
-	case "id":
-		order = nil
-	default:
-		return fmt.Errorf("unknown order %q (want short|long|id)", orderName)
-	}
-
-	ss, err := sched.BuildSchedule(kind, sp, order)
-	if err != nil {
-		return err
-	}
-	if err := ss.Validate(sp); err != nil {
-		return err
-	}
-	ps, err := sched.BuildSchedule(kind, pp, order)
-	if err != nil {
-		return err
-	}
-	if err := ps.Validate(pp); err != nil {
-		return err
+	// Both models run on the same links in the same order.
+	var built [2]*sched.Schedule
+	for m, model := range []sched.Model{sched.ModelSINR, sched.ModelProtocol} {
+		inst, err := sched.NewLinkInstance(links, sched.Params{Model: model, Order: sched.Order(orderName)}, sched.Channel{Beta: beta, Noise: 0.0001})
+		if err != nil {
+			return err
+		}
+		s, err := sched.BuildSchedule(kind, inst.Problem, inst.Order)
+		if err != nil {
+			return err
+		}
+		if err := s.Validate(inst.Problem); err != nil {
+			return err
+		}
+		built[m] = s
 	}
 
 	fmt.Fprintf(w, "%d links, %gx%g field, beta=%g, sched=%s, order=%s\n",
 		nLinks, side, side, beta, kind, orderName)
-	fmt.Fprintf(w, "SINR model    : %d slots\n", ss.NumSlots())
-	for i, slot := range ss.Slots {
-		fmt.Fprintf(w, "  slot %2d: %d links\n", i, len(slot))
-	}
-	fmt.Fprintf(w, "protocol model: %d slots\n", ps.NumSlots())
-	for i, slot := range ps.Slots {
-		fmt.Fprintf(w, "  slot %2d: %d links\n", i, len(slot))
+	for m, label := range [...]string{"SINR model    ", "protocol model"} {
+		fmt.Fprintf(w, "%s: %d slots\n", label, built[m].NumSlots())
+		for i, slot := range built[m].Slots {
+			fmt.Fprintf(w, "  slot %2d: %d links\n", i, len(slot))
+		}
 	}
 	return nil
 }

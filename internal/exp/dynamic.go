@@ -1,9 +1,7 @@
 package exp
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 	"time"
 
@@ -11,6 +9,7 @@ import (
 	"repro/internal/dynamic"
 	"repro/internal/geom"
 	"repro/internal/kdtree"
+	"repro/internal/verify"
 	"repro/internal/workload"
 )
 
@@ -125,17 +124,8 @@ func MeasureDynamicChurn(sizes []int, events, queries int) ([]DynamicBenchRow, e
 			applyTimes := make([]time.Duration, 0, len(trace))
 			rebuildTimes := make([]time.Duration, 0, len(trace))
 			for evi, ev := range trace {
-				var delta dynamic.Delta
-				switch ev.Kind {
-				case workload.ChurnArrive:
-					delta = dynamic.Delta{Add: []dynamic.Station{{Pos: ev.Pos, Power: ev.Power}}}
-				case workload.ChurnDepart:
-					delta = dynamic.Delta{Remove: []int{ev.Station}}
-				case workload.ChurnPower:
-					delta = dynamic.Delta{SetPower: []dynamic.PowerUpdate{{Station: ev.Station, Power: ev.Power}}}
-				}
 				t0 := time.Now()
-				snap, err := dyn.Apply(delta)
+				snap, err := dyn.Apply(verify.Delta(ev))
 				applyTimes = append(applyTimes, time.Since(t0))
 				if err != nil {
 					return nil, fmt.Errorf("E19 %s n=%d event %d: %w", proc.name, n, evi, err)
@@ -191,16 +181,6 @@ func MeasureDynamicChurn(sizes []int, events, queries int) ([]DynamicBenchRow, e
 	return rows, nil
 }
 
-// WriteDynamicBenchJSON writes the E19 rows as the BENCH_dynamic.json
-// artifact (an indented JSON array).
-func WriteDynamicBenchJSON(path string, rows []DynamicBenchRow) error {
-	data, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
 // DynamicChurnComparison runs E19: incremental epoch maintenance
 // against from-scratch rebuild under station churn, across network
 // sizes at constant density and the four churn processes. The shape
@@ -241,7 +221,7 @@ func DynamicChurnComparison(sizes []int, events, queries int, jsonPath string) (
 		}
 	}
 	if jsonPath != "" {
-		if err := WriteDynamicBenchJSON(jsonPath, rows); err != nil {
+		if err := WriteBenchJSON(jsonPath, rows); err != nil {
 			return nil, err
 		}
 		t.Note("wrote %s (%d rows)", jsonPath, len(rows))

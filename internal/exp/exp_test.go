@@ -257,7 +257,7 @@ func TestResolverComparisonShape(t *testing.T) {
 		}
 	}
 	out := t.TempDir() + "/BENCH_resolvers.json"
-	if err := WriteResolverBenchJSON(out, rows); err != nil {
+	if err := WriteBenchJSON(out, rows); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(out)
@@ -296,7 +296,7 @@ func TestHotPathComparisonShape(t *testing.T) {
 		}
 	}
 	out := t.TempDir() + "/BENCH_hotpath.json"
-	if err := WriteHotPathBenchJSON(out, rows); err != nil {
+	if err := WriteBenchJSON(out, rows); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(out)
@@ -337,7 +337,7 @@ func TestDynamicChurnShape(t *testing.T) {
 		}
 	}
 	out := t.TempDir() + "/BENCH_dynamic.json"
-	if err := WriteDynamicBenchJSON(out, rows); err != nil {
+	if err := WriteBenchJSON(out, rows); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(out)
@@ -382,7 +382,7 @@ func TestSchedComparisonShape(t *testing.T) {
 		}
 	}
 	out := t.TempDir() + "/BENCH_sched.json"
-	if err := WriteSchedBenchJSON(out, rows); err != nil {
+	if err := WriteBenchJSON(out, rows); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(out)

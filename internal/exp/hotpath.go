@@ -1,10 +1,8 @@
 package exp
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 	"runtime"
 	"sort"
 	"time"
@@ -172,16 +170,6 @@ func MeasureHotPath(sizes []int, queries, workers int) ([]HotPathBenchRow, error
 	return rows, nil
 }
 
-// WriteHotPathBenchJSON writes the E18 rows as the BENCH_hotpath.json
-// artifact (an indented JSON array).
-func WriteHotPathBenchJSON(path string, rows []HotPathBenchRow) error {
-	data, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
 // HotPathComparison runs E18: the sharded-spatial-index locate path
 // against the full-scan baseline on the same Theorem 3 locator,
 // across network sizes at constant station density and the three
@@ -222,7 +210,7 @@ func HotPathComparison(workers int, sizes []int, queries int, jsonPath string) (
 		}
 	}
 	if jsonPath != "" {
-		if err := WriteHotPathBenchJSON(jsonPath, rows); err != nil {
+		if err := WriteBenchJSON(jsonPath, rows); err != nil {
 			return nil, err
 		}
 		t.Note("wrote %s (%d rows)", jsonPath, len(rows))

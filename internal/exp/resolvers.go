@@ -2,9 +2,7 @@ package exp
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 	"time"
 
@@ -137,16 +135,6 @@ func MeasureResolverComparison(n, queries, workers int, filter string) ([]Resolv
 	return rows, nil
 }
 
-// WriteResolverBenchJSON writes the E17 rows as the
-// BENCH_resolvers.json artifact (an indented JSON array).
-func WriteResolverBenchJSON(path string, rows []ResolverBenchRow) error {
-	data, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
 // ResolverComparison runs E17: the four resolvers of the pluggable
 // query API answer the same uniform, hotspot and mobility workloads;
 // qps, latency percentiles and answer disagreement are tabulated per
@@ -185,7 +173,7 @@ func ResolverComparison(workers int, filter, jsonPath string) (*Table, error) {
 		}
 	}
 	if jsonPath != "" {
-		if err := WriteResolverBenchJSON(jsonPath, rows); err != nil {
+		if err := WriteBenchJSON(jsonPath, rows); err != nil {
 			return nil, err
 		}
 		t.Note("wrote %s (%d rows)", jsonPath, len(rows))

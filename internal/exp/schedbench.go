@@ -1,10 +1,8 @@
 package exp
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 	"time"
 
 	"repro/internal/geom"
@@ -45,22 +43,19 @@ type SchedBenchRow struct {
 	Mismatches      int     `json:"mismatches"`
 }
 
-// schedInstance builds the E20 instance: n links at constant density
-// (side grows with sqrt(n)), lengths in [0.5, 1.5).
-func schedInstance(gen *workload.Generator, n int) (*sched.SINRProblem, *sched.ProtocolProblem, error) {
+// schedInstances builds the E20 instances: n links at constant density
+// (side grows with sqrt(n)), lengths in [0.5, 1.5), under the SINR
+// and the protocol model.
+func schedInstances(gen *workload.Generator, n int) (sinr, proto *sched.Instance, err error) {
 	side := 3 * math.Sqrt(float64(n))
 	box := geom.NewBox(geom.Pt(0, 0), geom.Pt(side, side))
 	links := randomLinks(gen, n, box, 0.5, 1.5)
-	sp, err := sched.NewSINRProblem(links, 0.0001, 2)
-	if err != nil {
+	ch := sched.Channel{Beta: 2, Noise: 0.0001, Alpha: schedBenchAlpha}
+	if sinr, err = sched.NewLinkInstance(links, sched.Params{}, ch); err != nil {
 		return nil, nil, err
 	}
-	sp.Alpha = schedBenchAlpha
-	pp, err := sched.NewProtocolProblem(links, 1.5, 3)
-	if err != nil {
-		return nil, nil, err
-	}
-	return sp, pp, nil
+	proto, err = sched.NewLinkInstance(links, sched.Params{Model: sched.ModelProtocol}, ch)
+	return sinr, proto, err
 }
 
 // checkSchedule validates s and cross-checks the incremental
@@ -68,7 +63,7 @@ func schedInstance(gen *workload.Generator, n int) (*sched.SINRProblem, *sched.P
 // disagreements (0 on a correct engine). Full-schedule scan
 // validation is O(sum k²); beyond scanCap links the scan cross-check
 // samples sampleSlots slots instead of covering all of them.
-func checkSchedule(f sched.Feasibility, scan func([]int) bool, s *sched.Schedule, links int) int {
+func checkSchedule(f sched.Problem, s *sched.Schedule, links int) int {
 	const (
 		scanCap     = 4096
 		sampleSlots = 8
@@ -85,7 +80,7 @@ func checkSchedule(f sched.Feasibility, scan func([]int) bool, s *sched.Schedule
 		stride = len(s.Slots) / sampleSlots
 	}
 	for si := 0; si < len(s.Slots); si += stride {
-		if f.SlotFeasible(s.Slots[si]) != scan(s.Slots[si]) {
+		if f.SlotFeasible(s.Slots[si]) != f.SlotFeasibleScan(s.Slots[si]) {
 			mismatches++
 		}
 	}
@@ -113,34 +108,33 @@ func MeasureSched(sizes []int) ([]SchedBenchRow, error) {
 	var rows []SchedBenchRow
 	for _, n := range sizes {
 		gen := workload.NewGenerator(int64(12000 * (n + 1)))
-		sp, pp, err := schedInstance(gen, n)
+		si, pi, err := schedInstances(gen, n)
 		if err != nil {
 			return nil, err
 		}
-		order := sched.ByLength(sp.Links, true)
 		for _, kind := range sched.Kinds() {
 			row := SchedBenchRow{Scheduler: kind.String(), Links: n}
 
 			t0 := time.Now()
-			ss, err := sched.BuildSchedule(kind, sp, order)
+			ss, err := sched.BuildSchedule(kind, si.Problem, si.Order)
 			row.SINRBuildNanos = time.Since(t0).Nanoseconds()
 			if err != nil {
 				return nil, fmt.Errorf("E20 %s n=%d sinr: %w", kind, n, err)
 			}
 			row.SINRSlots = ss.NumSlots()
-			row.Mismatches += checkSchedule(sp, sp.SlotFeasibleScan, ss, n)
+			row.Mismatches += checkSchedule(si.Problem, ss, n)
 
 			t0 = time.Now()
-			ps, err := sched.BuildSchedule(kind, pp, order)
+			ps, err := sched.BuildSchedule(kind, pi.Problem, pi.Order)
 			row.ProtoBuildNanos = time.Since(t0).Nanoseconds()
 			if err != nil {
 				return nil, fmt.Errorf("E20 %s n=%d protocol: %w", kind, n, err)
 			}
 			row.ProtocolSlots = ps.NumSlots()
-			row.Mismatches += checkSchedule(pp, pp.SlotFeasibleScan, ps, n)
+			row.Mismatches += checkSchedule(pi.Problem, ps, n)
 
 			if kind == sched.KindGreedy {
-				measureFeasibility(sp, ss, &row)
+				measureFeasibility(si.Problem, ss, &row)
 			}
 			rows = append(rows, row)
 		}
@@ -153,7 +147,7 @@ func MeasureSched(sizes []int) ([]SchedBenchRow, error) {
 // sets, on the largest slot of the SINR schedule. Scan trials are
 // capped — each costs O(k²) — with agreement checked on the trials
 // both sides ran.
-func measureFeasibility(sp *sched.SINRProblem, ss *sched.Schedule, row *SchedBenchRow) {
+func measureFeasibility(sp sched.Problem, ss *sched.Schedule, row *SchedBenchRow) {
 	largest := 0
 	for si := range ss.Slots {
 		if len(ss.Slots[si]) > len(ss.Slots[largest]) {
@@ -208,16 +202,6 @@ func measureFeasibility(sp *sched.SINRProblem, ss *sched.Schedule, row *SchedBen
 	if row.FeasIncNanos > 0 {
 		row.FeasSpeedup = float64(row.FeasScanNanos) / float64(row.FeasIncNanos)
 	}
-}
-
-// WriteSchedBenchJSON writes the E20 rows as the BENCH_sched.json
-// artifact (an indented JSON array).
-func WriteSchedBenchJSON(path string, rows []SchedBenchRow) error {
-	data, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // SchedComparison runs E20: the three schedulers over the incremental
@@ -276,7 +260,7 @@ func SchedComparison(sizes []int, jsonPath string) (*Table, error) {
 		}
 	}
 	if jsonPath != "" {
-		if err := WriteSchedBenchJSON(jsonPath, rows); err != nil {
+		if err := WriteBenchJSON(jsonPath, rows); err != nil {
 			return nil, err
 		}
 		t.Note("wrote %s (%d rows)", jsonPath, len(rows))

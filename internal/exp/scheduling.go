@@ -51,34 +51,28 @@ func Scheduling(trials int) (*Table, error) {
 			box := geom.NewBox(geom.Pt(0, 0), geom.Pt(c.side, c.side))
 			links := randomLinks(gen, c.n, box, 0.5, 1.5)
 
-			sp, err := sched.NewSINRProblem(links, 0.0001, 2)
-			if err != nil {
-				return nil, err
+			// Slot counts under the SINR and the protocol model, on the
+			// same links in the same shortest-first order.
+			var slots [2]int
+			for m, model := range []sched.Model{sched.ModelSINR, sched.ModelProtocol} {
+				inst, err := sched.NewLinkInstance(links, sched.Params{Model: model}, sched.Channel{Beta: 2, Noise: 0.0001})
+				if err != nil {
+					return nil, err
+				}
+				s, err := sched.Greedy(inst.Problem, inst.Order)
+				if err != nil {
+					return nil, err
+				}
+				if err := s.Validate(inst.Problem); err != nil {
+					return nil, err
+				}
+				slots[m] = s.NumSlots()
 			}
-			pp, err := sched.NewProtocolProblem(links, 1.5, 3)
-			if err != nil {
-				return nil, err
-			}
-			order := sched.ByLength(links, true)
-			ss, err := sched.Greedy(sp, order)
-			if err != nil {
-				return nil, err
-			}
-			if err := ss.Validate(sp); err != nil {
-				return nil, err
-			}
-			ps, err := sched.Greedy(pp, order)
-			if err != nil {
-				return nil, err
-			}
-			if err := ps.Validate(pp); err != nil {
-				return nil, err
-			}
-			sinrTotal += ss.NumSlots()
-			protoTotal += ps.NumSlots()
-			if ss.NumSlots() < ps.NumSlots() {
+			sinrTotal += slots[0]
+			protoTotal += slots[1]
+			if slots[0] < slots[1] {
 				shorter++
-			} else if ss.NumSlots() > ps.NumSlots() {
+			} else if slots[0] > slots[1] {
 				shorter--
 			}
 		}

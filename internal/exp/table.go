@@ -1,9 +1,21 @@
 package exp
 
 import (
+	"encoding/json"
 	"fmt"
+	"os"
 	"strings"
 )
+
+// WriteBenchJSON writes an experiment's rows as its BENCH_*.json
+// artifact: an indented JSON array and a final newline.
+func WriteBenchJSON(path string, rows any) error {
+	data, err := json.MarshalIndent(rows, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
+}
 
 // Table is a formatted experiment result: headers, rows, and the
 // paper claim being checked.

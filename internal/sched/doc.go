@@ -32,5 +32,8 @@
 //
 // DeriveLinks derives a deterministic link per station from station
 // geometry alone, so a server and its clients can agree on a link set
-// without shipping it.
+// without shipping it. Params holds a scheduling instance's knobs and
+// their defaults, and NewInstance turns a network generation plus
+// Params into its links, problem and order: the server builds every
+// schedule through it, and clients rebuild it to check one.
 package sched

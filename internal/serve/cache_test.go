@@ -16,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/resolve"
+	"repro/internal/sched"
 )
 
 // joined counts the goroutines parked in a flightCache get on an
@@ -153,7 +154,7 @@ func TestFlightCacheLifecycle(t *testing.T) {
 	t.Run("schedule", func(t *testing.T) {
 		testFlightLifecycle(t,
 			func(e *netEntry, i int) cacheKey[schedKey] {
-				return cacheKey[schedKey]{net: e, params: schedKey{model: "sinr", linkLen: float64(i + 1)}}
+				return cacheKey[schedKey]{net: e, params: schedKey{params: sched.Params{LinkLen: float64(i + 1)}}}
 			},
 			func(i int) *schedResult { return schedules[i] })
 	})
@@ -322,7 +323,7 @@ func TestFlightCacheFailedBuild(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := newFlightCache[schedKey, *schedResult](4)
-			k := cacheKey[schedKey]{net: &netEntry{}, params: schedKey{model: "sinr", linkLen: 1}}
+			k := cacheKey[schedKey]{net: &netEntry{}, params: schedKey{params: sched.Params{LinkLen: 1}}}
 			var builds atomic.Int32
 			started, release := make(chan struct{}), make(chan struct{})
 			failing := func(*schedResult) (*schedResult, error) {
@@ -428,7 +429,7 @@ func TestScheduleCacheIncarnationsNeverShare(t *testing.T) {
 		t.Fatal("re-created network reuses the deleted incarnation")
 	}
 
-	params := schedKey{model: "sinr", order: "short", linkLen: 1}
+	params := schedKey{params: sched.Params{LinkLen: 1}}
 	deadKey := cacheKey[schedKey]{net: dead, params: params}
 	liveKey := cacheKey[schedKey]{net: live, params: params}
 	stale, current := &schedResult{version: 1}, &schedResult{version: 1}

@@ -9,12 +9,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dynamic"
 	"repro/internal/geom"
 	"repro/internal/workload"
 )
@@ -486,4 +488,36 @@ func TestExactKindsNeverTouchTheCache(t *testing.T) {
 	if v := mustValue(t, scrapeMetrics(t, ts), "sinr_resolver_cache_entries"); v != 0 {
 		t.Errorf("sinr_resolver_cache_entries = %g, want 0", v)
 	}
+}
+
+// decodeDelta runs the PATCH handler's decode on body.
+func decodeDelta(body []byte) (dynamic.Delta, error) {
+	var req NetworkDeltaRequest
+	err := decodeDocument(json.NewDecoder(bytes.NewReader(body)), &req)
+	return req.delta(), err
+}
+
+// FuzzPatchDelta holds WireDelta to the PATCH decoder: any body the
+// decoder accepts becomes a delta that comes back unchanged through
+// WireDelta, json.Marshal and a second decode (nil and empty lists
+// compare equal). Its corpus is committed under
+// testdata/fuzz/FuzzPatchDelta.
+func FuzzPatchDelta(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		d, err := decodeDelta(body)
+		if err != nil {
+			return
+		}
+		wire, err := json.Marshal(WireDelta(d))
+		if err != nil {
+			t.Fatalf("body %q: marshaling the decoded delta: %v", body, err)
+		}
+		back, err := decodeDelta(wire)
+		if err != nil {
+			t.Fatalf("body %q: re-encoded as %s, which does not decode: %v", body, wire, err)
+		}
+		if !slices.Equal(d.SetPower, back.SetPower) || !slices.Equal(d.Remove, back.Remove) || !slices.Equal(d.Add, back.Add) {
+			t.Fatalf("body %q: decoded %+v, round-tripped through %s to %+v", body, d, wire, back)
+		}
+	})
 }

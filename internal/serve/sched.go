@@ -1,7 +1,9 @@
 package serve
 
 import (
-	"math"
+	"cmp"
+	"errors"
+	"fmt"
 	"net/http"
 	"time"
 
@@ -23,7 +25,8 @@ import (
 // "long" or "id" (empty means short). LinkLen scales the derived link
 // lengths (0 means 1). Beta and Noise override the network's
 // registered values for the SINR model; ConnRadius and InterfRadius
-// set the protocol model's radii (0 means 1.5x and 3x the link scale).
+// set the protocol model's radii (0 means 1.5x the link scale and 2x
+// the connectivity radius). sched.Params owns these defaults.
 type ScheduleRequest struct {
 	Scheduler    string  `json:"scheduler,omitempty"`
 	Model        string  `json:"model,omitempty"`
@@ -55,19 +58,25 @@ type ScheduleResponse struct {
 	Slots     [][]int            `json:"slots"`
 }
 
+// params parses the request's scheduler and normalizes its instance
+// knobs (sched.Params.Normalize).
+func (r *ScheduleRequest) params() (sched.Kind, sched.Params, error) {
+	kind, err := sched.ParseKind(r.Scheduler)
+	if err != nil {
+		return 0, sched.Params{}, err
+	}
+	p, err := sched.Params{Model: sched.Model(r.Model), Order: sched.Order(r.Order), LinkLen: r.LinkLen,
+		Beta: r.Beta, Noise: r.Noise, Conn: r.ConnRadius, Interf: r.InterfRadius}.Normalize()
+	return kind, p, err
+}
+
 // schedKey is the request part of a cached schedule's key, which adds
-// the network incarnation but no generation. All parameters are
-// normalized (defaults resolved, model-irrelevant knobs zeroed) before
-// the lookup, so requests differing only in an ignored knob share a slot.
+// the network incarnation but no generation. The parameters are
+// normalized before the lookup, so requests differing only in an
+// ignored knob share a slot.
 type schedKey struct {
-	kind    sched.Kind
-	model   string
-	order   string
-	linkLen float64
-	beta    float64
-	noise   float64
-	conn    float64
-	interf  float64
+	kind   sched.Kind
+	params sched.Params
 }
 
 // schedResult is one computed schedule plus what produced it. links is
@@ -81,11 +90,9 @@ type schedResult struct {
 	repair   *sched.RepairStats
 }
 
-// finiteNonNeg rejects NaN/Inf/negative knobs before they can reach a
-// cache key (a NaN map key never matches on lookup, leaking entries).
-func finiteNonNeg(v float64) bool {
-	return v >= 0 && !math.IsInf(v, 1)
-}
+// errTooManyLinks fails a build over a generation larger than
+// Options.MaxSchedLinks; errorStatus maps it to 413.
+var errTooManyLinks = errors.New("scheduling is capped")
 
 // handleSchedule serves POST /v1/networks/{name}/schedule.
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
@@ -103,73 +110,17 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	// policy (NetworkSpec.Schedule) before the server defaults apply.
 	if snap := entry.snap.Load(); snap != nil && snap.spec != nil && snap.spec.Schedule != nil {
 		pol := snap.spec.Schedule
-		if req.Scheduler == "" {
-			req.Scheduler = pol.Scheduler
-		}
-		if req.Model == "" {
-			req.Model = pol.Model
-		}
-		if req.Order == "" {
-			req.Order = pol.Order
-		}
-		if req.LinkLen == 0 {
-			req.LinkLen = pol.LinkLen
-		}
+		req.Scheduler = cmp.Or(req.Scheduler, pol.Scheduler)
+		req.Model = cmp.Or(req.Model, pol.Model)
+		req.Order = cmp.Or(req.Order, pol.Order)
+		req.LinkLen = cmp.Or(req.LinkLen, pol.LinkLen)
 	}
-	kind, err := sched.ParseKind(req.Scheduler)
+	kind, params, err := req.params()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	model := req.Model
-	switch model {
-	case "":
-		model = "sinr"
-	case "sinr", "protocol":
-	default:
-		writeError(w, http.StatusBadRequest, "unknown model %q (want sinr or protocol)", model)
-		return
-	}
-	order := req.Order
-	switch order {
-	case "":
-		order = "short"
-	case "short", "long", "id":
-	default:
-		writeError(w, http.StatusBadRequest, "unknown order %q (want short, long or id)", order)
-		return
-	}
-	linkLen := req.LinkLen
-	if linkLen == 0 {
-		linkLen = 1
-	}
-	if !(linkLen > 0) || math.IsInf(linkLen, 1) {
-		writeError(w, http.StatusBadRequest, "link_len must be a positive finite number, got %g", req.LinkLen)
-		return
-	}
-	if !finiteNonNeg(req.Beta) || !finiteNonNeg(req.Noise) ||
-		!finiteNonNeg(req.ConnRadius) || !finiteNonNeg(req.InterfRadius) {
-		writeError(w, http.StatusBadRequest, "beta, noise and radii must be non-negative finite numbers")
-		return
-	}
-	key := schedKey{kind: kind, model: model, order: order, linkLen: linkLen}
-	switch model {
-	case "sinr":
-		key.beta, key.noise = req.Beta, req.Noise
-	case "protocol":
-		key.conn, key.interf = req.ConnRadius, req.InterfRadius
-		if key.conn == 0 {
-			key.conn = 1.5 * linkLen
-		}
-		if key.interf == 0 {
-			key.interf = 2 * key.conn
-		}
-		if key.interf < key.conn {
-			writeError(w, http.StatusBadRequest,
-				"interf_radius %g below conn_radius %g", key.interf, key.conn)
-			return
-		}
-	}
+	key := schedKey{kind: kind, params: params}
 
 	// Admission gates the build: scheduling is the most expensive
 	// request the server takes, so it shares the network's concurrency
@@ -178,12 +129,6 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer entry.release()
-	snap := entry.snap.Load()
-	if n := snap.net.NumStations(); n > s.opt.MaxSchedLinks {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			"network has %d stations, scheduling is capped at %d links", n, s.opt.MaxSchedLinks)
-		return
-	}
 
 	// The span starts as a cache hit and is renamed to the path the
 	// build actually took (computed fresh or repaired) once known.
@@ -191,11 +136,12 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	tr.SetNetwork(name)
 	bs := tr.Start("sched.cached")
 	t0 := time.Now()
-	fresh := func(r *schedResult) bool { return r.version >= snap.version }
+	version := entry.snap.Load().version
+	fresh := func(r *schedResult) bool { return r.version >= version }
 	res, cached, err := s.schedules.get(cacheKey[schedKey]{net: entry, params: key}, fresh, func(prev *schedResult) (*schedResult, error) {
 		// Load the snapshot inside the build so a winner never caches a
 		// generation older than any waiter's.
-		return buildSchedule(key, entry.snap.Load(), prev)
+		return buildSchedule(key, entry.snap.Load(), prev, s.opt.MaxSchedLinks)
 	})
 	tr.End(bs)
 	if err != nil {
@@ -215,9 +161,9 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		Network:   name,
 		Version:   res.version,
 		Scheduler: kind.String(),
-		Model:     model,
-		Order:     order,
-		LinkLen:   linkLen,
+		Model:     string(params.Model),
+		Order:     string(params.Order),
+		LinkLen:   params.LinkLen,
 		NumLinks:  len(res.links),
 		NumSlots:  res.schedule.NumSlots(),
 		Path:      path,
@@ -227,53 +173,22 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 }
 
 // buildSchedule computes (or repairs) the schedule for key against
-// snap. prev, when non-nil and older than snap, seeds a repair: its
-// surviving slot assignments are carried over by sender identity and
-// reconciled with sched.Repair, so the work scales with the delta.
-func buildSchedule(key schedKey, snap *snapshot, prev *schedResult) (*schedResult, error) {
-	net := snap.net
-	powers := make([]float64, net.NumStations())
-	for i := range powers {
-		powers[i] = net.Power(i)
+// snap, refusing a generation of more than maxLinks stations. prev,
+// when non-nil and older than snap, seeds a repair: its surviving slot
+// assignments are carried over by sender identity and reconciled with
+// sched.Repair, so the work scales with the delta.
+func buildSchedule(key schedKey, snap *snapshot, prev *schedResult, maxLinks int) (*schedResult, error) {
+	if n := snap.net.NumStations(); n > maxLinks {
+		return nil, fmt.Errorf("network has %d stations, %w at %d links", n, errTooManyLinks, maxLinks)
 	}
-	links := sched.DeriveLinks(net.Stations(), powers, key.linkLen)
-
-	var f sched.Feasibility
-	switch key.model {
-	case "protocol":
-		p, err := sched.NewProtocolProblem(links, key.conn, key.interf)
-		if err != nil {
-			return nil, err
-		}
-		f = p
-	default:
-		beta, noise := key.beta, key.noise
-		if beta == 0 {
-			beta = net.Beta()
-		}
-		if noise == 0 {
-			noise = net.Noise()
-		}
-		p, err := sched.NewSINRProblem(links, noise, beta)
-		if err != nil {
-			return nil, err
-		}
-		p.Alpha = net.Alpha()
-		f = p
+	inst, err := sched.NewInstance(snap.net, key.params)
+	if err != nil {
+		return nil, err
 	}
-
-	var order []int
-	switch key.order {
-	case "short":
-		order = sched.ByLength(links, true)
-	case "long":
-		order = sched.ByLength(links, false)
-	}
-
-	res := &schedResult{version: snap.version, links: links}
+	res := &schedResult{version: snap.version, links: inst.Links}
 	if prev != nil && prev.version < snap.version {
-		if tentative, ok := carryOver(prev, links); ok {
-			if repaired, stats, err := sched.Repair(f, tentative, 1); err == nil {
+		if tentative, ok := carryOver(prev, inst.Links); ok {
+			if repaired, stats, err := sched.Repair(inst.Problem, tentative, 1); err == nil {
 				res.schedule, res.path, res.repair = repaired, "repaired", &stats
 				return res, nil
 			}
@@ -281,7 +196,7 @@ func buildSchedule(key schedKey, snap *snapshot, prev *schedResult) (*schedResul
 			// new parameters) falls through to a fresh compute.
 		}
 	}
-	schedule, err := sched.BuildSchedule(key.kind, f, order)
+	schedule, err := sched.BuildSchedule(key.kind, inst.Problem, inst.Order)
 	if err != nil {
 		return nil, err
 	}

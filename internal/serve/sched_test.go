@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -15,22 +16,15 @@ import (
 
 func scheduleURL(name string) string { return "/v1/networks/" + name + "/schedule" }
 
-// localProblem rebuilds the server's feasibility instance client-side
-// from the registered parameters — the verification a real client
-// (cmd/sinrload) performs.
-func localProblem(t *testing.T, net *core.Network, linkLen float64) (*sched.SINRProblem, []sched.Link) {
+// localInstance rebuilds the server's scheduling instance client-side
+// through the constructor the server builds it with.
+func localInstance(t *testing.T, net *core.Network, p sched.Params) *sched.Instance {
 	t.Helper()
-	powers := make([]float64, net.NumStations())
-	for i := range powers {
-		powers[i] = net.Power(i)
-	}
-	links := sched.DeriveLinks(net.Stations(), powers, linkLen)
-	p, err := sched.NewSINRProblem(links, net.Noise(), net.Beta())
+	inst, err := sched.NewInstance(net, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Alpha = net.Alpha()
-	return p, links
+	return inst
 }
 
 func TestScheduleEndToEnd(t *testing.T) {
@@ -68,13 +62,13 @@ func TestScheduleEndToEnd(t *testing.T) {
 		// The served slots must validate against a client-side rebuild
 		// of the same instance — server and client agree on the links
 		// without the links crossing the wire.
-		p, links := localProblem(t, net, out.LinkLen)
+		inst := localInstance(t, net, sched.Params{LinkLen: out.LinkLen})
 		s := &sched.Schedule{Slots: out.Slots}
-		if err := s.Validate(p); err != nil {
+		if err := s.Validate(inst.Problem); err != nil {
 			t.Fatalf("%s: served schedule invalid locally: %v", kind, err)
 		}
-		if s.NumLinks() != len(links) {
-			t.Fatalf("%s: %d of %d links scheduled", kind, s.NumLinks(), len(links))
+		if s.NumLinks() != len(inst.Links) {
+			t.Fatalf("%s: %d of %d links scheduled", kind, s.NumLinks(), len(inst.Links))
 		}
 
 		// Same request again: served from cache, same slots.
@@ -94,16 +88,8 @@ func TestScheduleEndToEnd(t *testing.T) {
 	if out.Model != "protocol" || out.Path != "computed" {
 		t.Fatalf("protocol = %+v", out)
 	}
-	powers := make([]float64, net.NumStations())
-	for i := range powers {
-		powers[i] = net.Power(i)
-	}
-	links := sched.DeriveLinks(net.Stations(), powers, out.LinkLen)
-	pp, err := sched.NewProtocolProblem(links, 1.5*out.LinkLen, 3*out.LinkLen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := (&sched.Schedule{Slots: out.Slots}).Validate(pp); err != nil {
+	pp := localInstance(t, net, sched.Params{Model: sched.ModelProtocol, LinkLen: out.LinkLen})
+	if err := (&sched.Schedule{Slots: out.Slots}).Validate(pp.Problem); err != nil {
 		t.Fatalf("protocol schedule invalid locally: %v", err)
 	}
 }
@@ -160,8 +146,8 @@ func TestSchedulePatchThenRepair(t *testing.T) {
 	// The repaired schedule validates against the new generation's
 	// derived links, rebuilt client-side from the server's answers.
 	snap := srv.nets["churn"].snap.Load()
-	p, _ := localProblem(t, snap.net, 1)
-	if err := (&sched.Schedule{Slots: second.Slots}).Validate(p); err != nil {
+	inst := localInstance(t, snap.net, sched.Params{})
+	if err := (&sched.Schedule{Slots: second.Slots}).Validate(inst.Problem); err != nil {
 		t.Fatalf("repaired schedule invalid: %v", err)
 	}
 
@@ -215,6 +201,26 @@ func TestScheduleErrors(t *testing.T) {
 		t.Errorf("oversize network: status %d, want 413", resp.StatusCode)
 	}
 	resp.Body.Close()
+}
+
+// TestScheduleCapOnBuiltGeneration: the link cap is checked on the
+// snapshot the build schedules, so a PATCH that grows the network past
+// the cap between admission and build still answers 413.
+func TestScheduleCapOnBuiltGeneration(t *testing.T) {
+	srv := NewServer(Options{MaxSchedLinks: 8})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	postJSON(t, ts, "/v1/networks", registerReq("grow", testStations(t, 8, 42), 0.001, 2)).Body.Close()
+	if resp := patchJSON(t, ts, "grow", NetworkDeltaRequest{Add: []DeltaStationJSON{{X: 4.5, Y: -4.5}}}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("patch: %s", resp.Status)
+	}
+	_, err := buildSchedule(schedKey{}, srv.nets["grow"].snap.Load(), nil, srv.opt.MaxSchedLinks)
+	if !errors.Is(err, errTooManyLinks) {
+		t.Fatalf("build over the cap: %v, want errTooManyLinks", err)
+	}
+	if got := errorStatus(err); got != http.StatusRequestEntityTooLarge {
+		t.Fatalf("errorStatus = %d, want 413", got)
+	}
 }
 
 // TestScheduleSingleFlight: concurrent identical requests share one

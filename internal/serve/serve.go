@@ -313,6 +313,31 @@ type NetworkDeltaRequest struct {
 	Add      []DeltaStationJSON `json:"add,omitempty"`
 }
 
+// delta converts the wire document to the engine's delta.
+func (r *NetworkDeltaRequest) delta() dynamic.Delta {
+	d := dynamic.Delta{Remove: r.Remove}
+	for _, pu := range r.SetPower {
+		d.SetPower = append(d.SetPower, dynamic.PowerUpdate{Station: pu.Station, Power: pu.Power})
+	}
+	for _, st := range r.Add {
+		d.Add = append(d.Add, dynamic.Station{Pos: geom.Pt(st.X, st.Y), Power: st.Power})
+	}
+	return d
+}
+
+// WireDelta is the inverse of the PATCH handler's decode: the wire
+// document that applies d.
+func WireDelta(d dynamic.Delta) NetworkDeltaRequest {
+	r := NetworkDeltaRequest{Remove: d.Remove}
+	for _, pu := range d.SetPower {
+		r.SetPower = append(r.SetPower, PowerUpdateJSON{Station: pu.Station, Power: pu.Power})
+	}
+	for _, st := range d.Add {
+		r.Add = append(r.Add, DeltaStationJSON{X: st.Pos.X, Y: st.Pos.Y, Power: st.Power})
+	}
+	return r
+}
+
 // LocateRequest is the POST /v1/locate body. Resolver picks the
 // backend for this request (empty means the network's registered
 // default); Eps applies to the locator backend and Radius to the UDG
@@ -485,13 +510,7 @@ func (s *Server) handlePatchNetwork(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, s.opt.MaxBodyBytes, &req) {
 		return
 	}
-	delta := dynamic.Delta{Remove: req.Remove}
-	for _, pu := range req.SetPower {
-		delta.SetPower = append(delta.SetPower, dynamic.PowerUpdate{Station: pu.Station, Power: pu.Power})
-	}
-	for _, st := range req.Add {
-		delta.Add = append(delta.Add, dynamic.Station{Pos: geom.Pt(st.X, st.Y), Power: st.Power})
-	}
+	delta := req.delta()
 
 	s.mu.RLock()
 	entry, ok := s.nets[name]
@@ -696,6 +715,8 @@ func errorStatus(err error) int {
 		return http.StatusNotFound
 	case errors.Is(err, errBuildPanicked):
 		return http.StatusInternalServerError
+	case errors.Is(err, errTooManyLinks):
+		return http.StatusRequestEntityTooLarge
 	}
 	return http.StatusBadRequest
 }

@@ -14,7 +14,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/metrics"
 	"repro/internal/resolve"
-	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
@@ -150,22 +149,12 @@ func (sp *NetworkSpec) Normalize() error {
 	return nil
 }
 
+// validate accepts the policies whose knobs a schedule request
+// accepts.
 func (p *SchedulePolicy) validate() error {
-	if _, err := sched.ParseKind(p.Scheduler); err != nil {
-		return err
-	}
-	switch p.Model {
-	case "", "sinr", "protocol":
-	default:
-		return fmt.Errorf("unknown schedule model %q (want sinr or protocol)", p.Model)
-	}
-	switch p.Order {
-	case "", "short", "long", "id":
-	default:
-		return fmt.Errorf("unknown schedule order %q (want short, long or id)", p.Order)
-	}
-	if p.LinkLen < 0 || !finiteField(p.LinkLen) {
-		return fmt.Errorf("schedule link_len must be a non-negative finite number, got %g", p.LinkLen)
+	req := ScheduleRequest{Scheduler: p.Scheduler, Model: p.Model, Order: p.Order, LinkLen: p.LinkLen}
+	if _, _, err := req.params(); err != nil {
+		return fmt.Errorf("schedule policy: %w", err)
 	}
 	return nil
 }

@@ -16,11 +16,11 @@
 //     acknowledged line by line with //sinr:alloc-ok <reason>.
 //
 //   - determinism: in the deterministic packages (core, sched,
-//     dynamic, resolve, shardindex, geom, kdtree) a range over a map
-//     whose results can feed ordered output without an intervening
-//     sort, any wall-clock read (time.Now, time.Since, ...), and any
-//     unseeded global math/rand call are violations, suppressible
-//     only by //sinr:nondeterministic-ok <reason>.
+//     dynamic, resolve, shardindex, geom, kdtree, reconcile, verify) a
+//     range over a map whose results can feed ordered output without
+//     an intervening sort, any wall-clock read (time.Now, time.Since,
+//     ...), and any unseeded global math/rand call are violations,
+//     suppressible only by //sinr:nondeterministic-ok <reason>.
 //
 //   - serve-discipline: in internal/serve and internal/metrics,
 //     handler-path constructs known to allocate or block — fresh
@@ -60,7 +60,8 @@ type config struct {
 
 // defaultDetPkgs are the packages whose outputs must be byte-identical
 // across runs: the deterministic schedulers, the epoch-snapshot
-// machinery, and everything a resolver answer flows through.
+// machinery, everything a resolver answer flows through, and the
+// checks that hold served answers to them.
 var defaultDetPkgs = []string{
 	"internal/core",
 	"internal/sched",
@@ -70,6 +71,7 @@ var defaultDetPkgs = []string{
 	"internal/geom",
 	"internal/kdtree",
 	"internal/reconcile",
+	"internal/verify",
 }
 
 // defaultServePkgs are the request-path packages held to the handler
